@@ -206,6 +206,14 @@ def _parse_host_port(text: str, default_port: int) -> tuple[str, int]:
 
 
 def cmd_scan(args) -> int:
+    if args.label is not None:
+        if args.targets is not None:
+            raise UsageError("--label cannot be combined with --targets: every "
+                             "fingerprint would carry the same label")
+        try:
+            scanner.check_label(args.label)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     collection = fuzzgen.load_collection(args.collection)
     if args.targets is None:
         if args.host is None:
@@ -281,10 +289,6 @@ def cmd_optimize(args) -> int:
     db = matcher.FingerprintDB.load(args.db)
     collection = fuzzgen.load_collection(args.collection)
     selection = optimizer.discriminating_indexes(db)
-    if not selection.kept:
-        print("error: all database fingerprints are identical; nothing "
-              "discriminates them", file=sys.stderr)
-        return 1
     reduced = optimizer.reduce_collection(collection, selection)
     fuzzgen.save_collection(reduced, args.output)
     if args.emit_indexes:

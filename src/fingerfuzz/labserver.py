@@ -141,6 +141,7 @@ class LabServer:
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._stopping = threading.Event()
+        self.connections = 0  # accepted so far
 
     def start(self) -> "LabServer":
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -179,6 +180,7 @@ class LabServer:
                 continue
             except OSError:
                 return
+            self.connections += 1
             thread = threading.Thread(
                 target=self._handle, args=(conn, peer), daemon=True
             )

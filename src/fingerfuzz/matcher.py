@@ -4,6 +4,14 @@ Two fingerprints are comparable only when they were taken with the same
 request collection (equal digests and vector lengths).  Agreement is exact
 token equality per position; fault sentinels count like codes, since the
 absence of a status code is itself a distinguishing signal.
+
+Agreement is counted on bitset planes.  A table gives every distinct token
+an id, and a fingerprint becomes one integer per distinct token, with bit
+i set where observation i is that token.  The equal positions of a and b
+are then sum over tokens t of popcount(a[t] & b[t]): an exact integer
+count, so ratios and percentages are the same as counting position by
+position.  FingerprintDB encodes its entries once, when it is built;
+rank, match_matrix and match_pair all count through `_agree`.
 """
 
 from __future__ import annotations
@@ -12,10 +20,12 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from .errors import DatabaseError, IncomparableError
 from .scanner import Fingerprint, load_fingerprint
+from .wire import ReplyObservation
 
 
 @dataclass(frozen=True)
@@ -41,8 +51,7 @@ def display_label(fp: Fingerprint) -> str:
     return fp.label if fp.label is not None else fp.target
 
 
-def match_pair(a: Fingerprint, b: Fingerprint) -> MatchResult:
-    """Count equal positions; the result is labelled after the candidate b."""
+def _check_comparable(a: Fingerprint, b: Fingerprint) -> None:
     if a.collection_digest != b.collection_digest:
         raise IncomparableError(
             f"collection digests differ: {a.collection_digest[:12]}… vs "
@@ -54,12 +63,48 @@ def match_pair(a: Fingerprint, b: Fingerprint) -> MatchResult:
         )
     if not a.observations:
         raise IncomparableError("fingerprints are empty")
-    agree = sum(1 for x, y in zip(a.observations, b.observations) if x == y)
+
+
+def match_pair(a: Fingerprint, b: Fingerprint) -> MatchResult:
+    """Count equal positions; the result is labelled after the candidate b."""
+    _check_comparable(a, b)
+    ids = _TokenIds()
+    agree = _agree(_planes(ids.encode(a)), _planes(ids.encode(b)))
     return MatchResult(display_label(b), agree, len(a.observations))
 
 
+class _TokenIds(dict):
+    """Observation -> one-character token id, handed out on first sight."""
+
+    def __missing__(self, obs: ReplyObservation) -> str:
+        self[obs] = token_id = chr(len(self))
+        return token_id
+
+    def encode(self, fp: Fingerprint) -> str:
+        """The fingerprint as one token id per position."""
+        return "".join(map(self.__getitem__, fp.observations))
+
+
+def _planes(vector: str) -> dict[str, int]:
+    """One bitset per distinct token id: bit i set where vector[i] is that id."""
+    reverse = vector[::-1]  # int(..., 2) reads the last character as bit 0
+    zeros = dict.fromkeys(map(ord, set(vector)), "0")
+    return {
+        chr(code): int(reverse.translate({**zeros, code: "1"}), 2) for code in zeros
+    }
+
+
+def _agree(a: dict[str, int], b: dict[str, int]) -> int:
+    """Equal positions of two fingerprints encoded with the same token ids."""
+    return sum((plane & b.get(t, 0)).bit_count() for t, plane in a.items())
+
+
 class FingerprintDB:
-    """All known fingerprints for one collection, indexed by unique label."""
+    """All known fingerprints for one collection, indexed by unique label.
+
+    Entries are encoded once, on construction: one token-id vector and one
+    set of bitset planes per entry, in label order, over one token table.
+    """
 
     def __init__(self, fingerprints: dict[str, Fingerprint]):
         if not fingerprints:
@@ -75,6 +120,9 @@ class FingerprintDB:
         if len(lengths) > 1:
             raise DatabaseError("entries disagree on observation count")
         self._by_label = dict(sorted(fingerprints.items()))
+        self._ids = _TokenIds()
+        self._vectors = tuple(map(self._ids.encode, self._by_label.values()))
+        self._planes = tuple(map(_planes, self._vectors))
 
     @classmethod
     def load(cls, directory) -> "FingerprintDB":
@@ -112,6 +160,11 @@ class FingerprintDB:
     def fingerprints(self):
         return tuple(self._by_label.values())
 
+    def columns(self):
+        """Token ids position by position: one tuple per position holding
+        each entry's id in label order.  Equal ids mean equal observations."""
+        return zip(*self._vectors)
+
 
 def rank(probe: Fingerprint, db: FingerprintDB, k: int = 5) -> list[MatchResult]:
     """Best k database entries by exact agreement ratio, ties by label."""
@@ -122,8 +175,17 @@ def rank(probe: Fingerprint, db: FingerprintDB, k: int = 5) -> list[MatchResult]
             "probe was taken with a different collection than the database "
             f"entries {', '.join(db.labels)}"
         )
-    results = [match_pair(probe, fp) for fp in db.fingerprints()]
-    results.sort(key=lambda m: (-m.ratio, m.label))
+    fps = db.fingerprints()
+    _check_comparable(probe, fps[0])
+    # encoded on a copy of the table: a token no entry holds gets a new id
+    # that no entry's planes contain
+    planes = _planes(_TokenIds(db._ids).encode(probe))
+    total = len(probe.observations)
+    results = [
+        MatchResult(display_label(fp), _agree(planes, entry), total)
+        for fp, entry in zip(fps, db._planes)
+    ]
+    results.sort(key=lambda m: (-m.agree, m.label))  # one total, so agree orders ratio
     return results[:k]
 
 
@@ -132,13 +194,14 @@ def match_matrix(db: FingerprintDB) -> list[list[float]]:
     if len(db) < 2:
         raise DatabaseError("matrix needs at least two fingerprints")
     fps = db.fingerprints()
+    _check_comparable(fps[0], fps[-1])  # entries share digest and length
     n = len(fps)
-    matrix = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            percent = match_pair(fps[i], fps[j]).percent
-            matrix[i][j] = percent
-            matrix[j][i] = percent
+    total = len(fps[0].observations)
+    matrix = [[100.0] * n for _ in range(n)]
+    for (i, a), (j, b) in combinations(enumerate(db._planes), 2):
+        percent = MatchResult(display_label(fps[j]), _agree(a, b), total).percent
+        matrix[i][j] = percent
+        matrix[j][i] = percent
     return matrix
 
 

@@ -30,17 +30,11 @@ def discriminating_indexes(db: FingerprintDB) -> IndexSelection:
     """Indexes where at least one unordered pair of fingerprints differs."""
     if len(db) < 2:
         raise InsufficientDataError("need at least two fingerprints to compare")
-    fps = db.fingerprints()
-    total = len(fps)
-    all_pairs = total * (total - 1) // 2
+    all_pairs = len(db) * (len(db) - 1) // 2
     kept: list[int] = []
     provenance: list[int] = []
-    for i in range(len(fps[0].observations)):
-        counts: dict = {}
-        for fp in fps:
-            obs = fp.observations[i]
-            counts[obs] = counts.get(obs, 0) + 1
-        agreeing = sum(c * (c - 1) // 2 for c in counts.values())
+    for i, column in enumerate(db.columns()):
+        agreeing = sum(c * (c - 1) // 2 for c in map(column.count, set(column)))
         differing = all_pairs - agreeing
         if differing > 0:
             kept.append(i)
@@ -57,7 +51,7 @@ def reduce_collection(full: FuzzCollection, sel: IndexSelection) -> FuzzCollecti
         )
     if not sel.kept:
         raise FingerfuzzError(
-            "selection is empty: the database fingerprints agree everywhere, "
+            "selection is empty: the database fingerprints are identical, "
             "so no request discriminates between them"
         )
     if sel.kept[-1] >= len(full.records):

@@ -9,7 +9,7 @@ aligned with their requests.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import BinaryIO
 
@@ -129,7 +129,15 @@ def _parse_created(text: str, line_no: int) -> datetime:
         raise ParseError(f"bad timestamp {text!r}", line_no) from None
 
 
+def check_label(label: str) -> None:
+    """Raise ValueError unless the label fits on one ASCII `#label` line."""
+    if not label.isascii() or "\n" in label or "\r" in label:
+        raise ValueError(f"label must be ASCII without CR or LF: {label!r}")
+
+
 def write_fingerprint(fp: Fingerprint, sink: BinaryIO) -> None:
+    if fp.label is not None:
+        check_label(fp.label)
     if not 1 <= len(fp.login) <= 2:
         raise ValueError("fingerprint needs one or two login observations")
     if not fp.observations:
@@ -215,10 +223,6 @@ def read_fingerprint(source: BinaryIO) -> Fingerprint:
         greeting=greeting,
         login=login,
     )
-
-
-def with_label(fp: Fingerprint, label: str | None) -> Fingerprint:
-    return replace(fp, label=label)
 
 
 def save_fingerprint(fp: Fingerprint, path) -> None:

@@ -54,13 +54,24 @@ class ReplyObservation:
 
     @classmethod
     def from_token(cls, token: str) -> "ReplyObservation":
+        """The shared instance for a token, so a parsed fingerprint refers to
+        a few dozen objects instead of holding one per position."""
+        obs = _INTERNED.get(token)
+        if obs is not None:
+            return obs
         if token in _KIND_BY_TOKEN:
-            return cls(_KIND_BY_TOKEN[token])
-        if len(token) == 3 and token.isdigit():
-            code = int(token)
-            if 100 <= code <= 599:
-                return cls(CODE, code)
-        raise ValueError(f"bad observation token {token!r}")
+            obs = cls(_KIND_BY_TOKEN[token])
+        elif len(token) == 3 and token.isdigit() and 100 <= int(token) <= 599:
+            obs = cls(CODE, int(token))
+        else:
+            raise ValueError(f"bad observation token {token!r}")
+        # filled on first sight: all 503 built up front raised a scan's peak
+        # memory by about 1 MB.  Racing threads can only store equal values.
+        _INTERNED[token] = obs
+        return obs
+
+
+_INTERNED: dict[str, ReplyObservation] = {}
 
 
 def of_code(code: int) -> ReplyObservation:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from fingerfuzz.labserver import LabServer, ServerScript
-from fingerfuzz.wire import TargetSpec
+from fingerfuzz.wire import CODE, DROPPED, GARBLED, TIMEOUT, ReplyObservation, TargetSpec
 
 # Short client timeouts keep lab-server tests fast; SILENCE rules still
 # register as timeouts well within these windows.
@@ -21,6 +21,22 @@ def fast_target(port: int, **overrides) -> TargetSpec:
     )
     params.update(overrides)
     return TargetSpec(**params)
+
+
+# every valid observation token: 500 codes and three sentinels
+ALL_TOKENS = tuple(str(code) for code in range(100, 600)) + ("TMO", "DRP", "GBL")
+
+
+def mixed_observations(chooser, tokens) -> tuple[ReplyObservation, ...]:
+    """Observations of the tokens.  About half are new instances, equal to
+    the shared ones ReplyObservation.from_token returns by value only."""
+    sentinels = {"TMO": TIMEOUT, "DRP": DROPPED, "GBL": GARBLED}
+    return tuple(
+        ReplyObservation.from_token(token) if chooser.random() < 0.5
+        else ReplyObservation(sentinels[token]) if token in sentinels
+        else ReplyObservation(CODE, int(token))
+        for token in tokens
+    )
 
 
 def constant_script(name: str = "constant", code: int = 502) -> ServerScript:

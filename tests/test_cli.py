@@ -155,6 +155,34 @@ def test_scan_requires_host_or_targets(tmp_path, tiny_fc):
                  "-o", str(tmp_path / "x.fp")]) == 2
 
 
+@pytest.mark.parametrize("label", ["two\nlines", "cr\rhere", "caf\u00e9"])
+def test_scan_rejects_unwritable_label_before_connecting(tmp_path, tiny_fc,
+                                                         lab_factory, capsys, label):
+    server = lab_factory(constant_script("unused", 200))
+    out = tmp_path / "x.fp"
+    code = main(["scan", "--collection", str(tiny_fc), "--host", "127.0.0.1",
+                 "--port", str(server.port), "--label", label, *FAST_SCAN,
+                 "-o", str(out)])
+    assert code == 2
+    assert "label" in capsys.readouterr().err
+    assert server.connections == 0
+    assert not out.exists()
+
+
+def test_scan_rejects_label_with_targets_before_connecting(tmp_path, tiny_fc,
+                                                           lab_factory, capsys):
+    servers = [lab_factory(constant_script(name, 200)) for name in ("one", "two")]
+    targets = tmp_path / "targets.txt"
+    targets.write_text("".join(f"127.0.0.1:{s.port}\n" for s in servers))
+    out_dir = tmp_path / "fps"
+    code = main(["scan", "--collection", str(tiny_fc), "--targets", str(targets),
+                 "--label", "same", *FAST_SCAN, "-o", str(out_dir)])
+    assert code == 2
+    assert "--targets" in capsys.readouterr().err
+    assert [s.connections for s in servers] == [0, 0]
+    assert not out_dir.exists()
+
+
 def test_scan_multiple_targets(tmp_path, tiny_fc, lab_factory):
     s1 = lab_factory(constant_script("one", 200))
     s2 = lab_factory(constant_script("two", 500))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,13 @@ from fingerfuzz.matcher import (
 from fingerfuzz.scanner import Fingerprint, save_fingerprint
 from fingerfuzz.wire import ReplyObservation, of_code
 
+from conftest import ALL_TOKENS, mixed_observations
+
 DIGEST_A = "aa" * 32
 DIGEST_B = "bb" * 32
 
 TOKEN_POOL = ("200", "220", "500", "502", "550", "TMO", "DRP", "GBL")
+PROBE_ONLY = ("421", "599")  # tokens no database entry holds
 
 
 def make_fp(tokens, digest=DIGEST_A, label="fp") -> Fingerprint:
@@ -84,13 +88,44 @@ def test_symmetry():
         assert match_pair(a, b).ratio == match_pair(b, a).ratio
 
 
+def brute_force_percent(a: Fingerprint, b: Fingerprint) -> float:
+    total = len(a.observations)
+    return ((brute_force_agreement(a, b) * 20000 + total) // (2 * total)) / 100
+
+
 def test_matches_brute_force_oracle():
     chooser = random.Random(17)
-    for _ in range(200):
-        length = chooser.randint(1, 80)
-        a = make_fp(random_tokens(chooser, length))
-        b = make_fp(random_tokens(chooser, length))
+    for trial in range(200):
+        # every tenth database draws from all 503 tokens and so holds more
+        # than 255 distinct ones; the others leave PROBE_ONLY to the probe
+        wide = trial % 10 == 0
+        pool = ALL_TOKENS if wide else TOKEN_POOL
+        length = chooser.randint(300, 400) if wide else chooser.randint(1, 80)
+
+        def fp(label, extra=()):
+            tokens = [chooser.choice(pool + extra) for _ in range(length)]
+            return replace(make_fp(tokens, label=label),
+                           observations=mixed_observations(chooser, tokens))
+
+        entries = {f"e{i}": fp(f"e{i}") for i in range(chooser.randint(2, 5))}
+        probe = fp("probe", extra=PROBE_ONLY)
+        a, b = entries["e0"], entries["e1"]
         assert match_pair(a, b).agree == brute_force_agreement(a, b)
+        assert match_pair(probe, a).agree == brute_force_agreement(probe, a)
+
+        db = FingerprintDB(entries)
+        expected = sorted(
+            (-brute_force_agreement(probe, entry), label) for label, entry in entries.items()
+        )
+        assert [(m.label, m.agree, m.total) for m in rank(probe, db, k=len(db))] == [
+            (label, -negated, length) for negated, label in expected
+        ]
+        labels = sorted(entries)
+        assert match_matrix(db) == [
+            [brute_force_percent(entries[x], entries[y]) for y in labels] for x in labels
+        ]
+        if wide:
+            assert len(set().union(*(e.observations for e in entries.values()))) > 255
 
 
 def test_ratio_one_iff_identical():

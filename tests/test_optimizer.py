@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -19,7 +20,7 @@ from fingerfuzz.optimizer import (
 from fingerfuzz.scanner import Fingerprint, fingerprint_target
 from fingerfuzz.wire import ReplyObservation, of_code
 
-from conftest import fast_target
+from conftest import ALL_TOKENS, fast_target, mixed_observations
 
 DIGEST = "cd" * 32
 
@@ -68,20 +69,28 @@ def test_provenance_counts_disagreeing_pairs():
 
 def test_provenance_matches_brute_force():
     chooser = random.Random(31)
-    pool = ("200", "500", "TMO")
-    vectors = [[chooser.choice(pool) for _ in range(24)] for _ in range(5)]
-    db = db_of(*vectors)
-    sel = discriminating_indexes(db)
-    fps = db.fingerprints()
-    for index, count in zip(sel.kept, sel.provenance):
-        expected = sum(
-            1 for x, y in combinations(fps, 2)
-            if x.observations[index] != y.observations[index]
-        )
-        assert count == expected
-    discarded = set(range(24)) - set(sel.kept)
-    for index in discarded:
-        assert len({fp.observations[index] for fp in fps}) == 1
+    for trial in range(20):
+        # the last database draws from all 503 tokens: more than 255 distinct
+        pool = ALL_TOKENS if trial == 19 else ("200", "500", "TMO")
+        length = chooser.randint(300, 400) if trial == 19 else 24
+        entries = {}
+        for i in range(chooser.randint(2, 6)):
+            tokens = [chooser.choice(pool) for _ in range(length)]
+            entries[f"s{i}"] = replace(make_fp(tokens, f"s{i}"),
+                                       observations=mixed_observations(chooser, tokens))
+        db = FingerprintDB(entries)
+        sel = discriminating_indexes(db)
+        fps = db.fingerprints()
+        for index, count in zip(sel.kept, sel.provenance):
+            expected = sum(
+                1 for x, y in combinations(fps, 2)
+                if x.observations[index] != y.observations[index]
+            )
+            assert count == expected
+        discarded = set(range(length)) - set(sel.kept)
+        for index in discarded:
+            assert len({fp.observations[index] for fp in fps}) == 1
+    assert len(set().union(*(fp.observations for fp in fps))) > 255
 
 
 def test_needs_two_entries():

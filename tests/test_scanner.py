@@ -216,6 +216,12 @@ def test_fingerprint_round_trip_without_label():
     assert read_fingerprint(io.BytesIO(serialize(fp))) == fp
 
 
+@pytest.mark.parametrize("label", ["two\nlines", "cr\rhere", "caf\u00e9"])
+def test_write_fingerprint_rejects_unreadable_label(label):
+    with pytest.raises(ValueError, match="label"):
+        serialize(sample_fingerprint(label=label))
+
+
 def test_fingerprint_save_load(tmp_path):
     fp = sample_fingerprint()
     path = tmp_path / "x.fp"

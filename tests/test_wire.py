@@ -27,7 +27,9 @@ def test_tokens_round_trip():
     for obs in (of_code(100), of_code(599), of_code(220),
                 ReplyObservation(TIMEOUT), ReplyObservation(DROPPED),
                 ReplyObservation(GARBLED)):
-        assert ReplyObservation.from_token(obs.token()) == obs
+        shared = ReplyObservation.from_token(obs.token())
+        assert shared == obs
+        assert ReplyObservation.from_token(obs.token()) is shared  # one per token
 
 
 @pytest.mark.parametrize("bad", ["", "22", "2200", "099", "600", "abc", "tmo"])
