@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import fuzzgen, labserver, matcher, optimizer, scanner, wire
-from .errors import FingerfuzzError
+from .errors import FingerfuzzError, IncomparableError
 from .fileio import atomic_write
 
 SEED_ENV_VAR = "FINGERFUZZ_SEED"
@@ -87,7 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--pass", dest="password", default=wire.ANONYMOUS_PASSWORD)
     scan.add_argument("--label", default=None, help="name stored in the fingerprint")
     scan.add_argument("--delay", type=float, default=0.0,
-                      help="seconds to wait between requests")
+                      help="seconds each session waits between requests")
+    scan.add_argument("--sessions", type=_positive_int, default=wire.DEFAULT_SESSIONS,
+                      help="command blocks scanned at the same time, each on its "
+                           f"own connection (1..{wire.MAX_SESSIONS}); lower it for "
+                           "servers that limit connections per address")
     scan.add_argument("--timeout", type=_positive_float, default=5.0,
                       help="seconds to wait for each reply")
     scan.add_argument("--drain-window", type=_positive_float, default=0.2,
@@ -142,18 +146,25 @@ def _resolve_seed(flag_value: int | None) -> int:
     return value
 
 
+def _list_file(source: str, kind: str) -> list[str]:
+    """The stripped lines of an ASCII list file, without blanks and comments."""
+    path = Path(source)
+    if not path.is_file():
+        raise UsageError(f"{kind} file not found: {source}")
+    data = path.read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise UsageError(f"{kind} file {source} line {line_no}: non-ASCII byte") from None
+    lines = (line.strip() for line in text.splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def _load_commands(source: str) -> tuple[str, ...]:
     if source == "default":
         return fuzzgen.DEFAULT_COMMANDS
-    path = Path(source)
-    if not path.is_file():
-        raise UsageError(f"command file not found: {source}")
-    commands = []
-    for line in path.read_text(encoding="ascii").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            commands.append(line)
-    return tuple(commands)
+    return tuple(_list_file(source, "command"))
 
 
 def cmd_generate(args) -> int:
@@ -177,15 +188,22 @@ def _histogram(observations) -> str:
     return " ".join(parts)
 
 
-def _scan_one(collection, args, host: str, port: int, output: str) -> int:
-    target = wire.TargetSpec(
-        host=host,
-        port=port,
-        username=args.user,
-        password=args.password,
-        reply_timeout=args.timeout,
-        drain_window=args.drain_window,
-    )
+def _target(args, host: str, port: int) -> wire.TargetSpec:
+    try:
+        return wire.TargetSpec(
+            host=host,
+            port=port,
+            username=args.user,
+            password=args.password,
+            reply_timeout=args.timeout,
+            drain_window=args.drain_window,
+            sessions=args.sessions,
+        )
+    except ValueError as exc:
+        raise UsageError(f"target {host}:{port}: {exc}") from None
+
+
+def _scan_one(collection, args, target: wire.TargetSpec, output: str) -> int:
     fp = scanner.fingerprint_target(
         collection, target, label=args.label, delay=args.delay
     )
@@ -218,34 +236,26 @@ def cmd_scan(args) -> int:
     if args.targets is None:
         if args.host is None:
             raise UsageError("--host is required unless --targets is given")
-        return _scan_one(collection, args, args.host, args.port, args.output)
+        return _scan_one(collection, args, _target(args, args.host, args.port),
+                         args.output)
 
-    targets_path = Path(args.targets)
-    if not targets_path.is_file():
-        raise UsageError(f"targets file not found: {args.targets}")
-    targets = []
-    for line in targets_path.read_text(encoding="ascii").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            targets.append(_parse_host_port(line, args.port))
+    targets = [_target(args, *_parse_host_port(line, args.port))
+               for line in _list_file(args.targets, "targets")]
     if not targets:
         raise UsageError("targets file lists no hosts")
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    failures = []
-    lock = threading.Lock()
 
-    def worker(host: str, port: int) -> None:
-        output = out_dir / f"{host.replace(':', '_')}_{port}.fp"
+    def worker(target: wire.TargetSpec) -> str | None:
+        output = out_dir / f"{target.host.replace(':', '_')}_{target.port}.fp"
         try:
-            _scan_one(collection, args, host, port, str(output))
+            _scan_one(collection, args, target, str(output))
         except FingerfuzzError as exc:
-            with lock:
-                failures.append(f"{host}:{port}: {exc}")
+            return f"{target.descriptor}: {exc}"
+        return None
 
     with ThreadPoolExecutor(max_workers=min(8, len(targets))) as pool:
-        for host, port in targets:
-            pool.submit(worker, host, port)
+        failures = [failure for failure in pool.map(worker, targets) if failure]
     for failure in failures:
         print(f"error: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -259,6 +269,10 @@ def cmd_match(args) -> int:
     if args.fingerprint is None:
         raise UsageError("--fingerprint is required unless --matrix is given")
     probe = scanner.load_fingerprint(args.fingerprint)
+    if probe.fp_version != db.fp_version:
+        raise IncomparableError(
+            f"probe is fp-version {probe.fp_version} and the database "
+            f"fp-version {db.fp_version}; rescan the older side")
     results = matcher.rank(probe, db, k=args.top)
     if args.json:
         payload = [

@@ -56,10 +56,6 @@ class ScanRefusedError(FingerfuzzError):
 class PartialScanError(FingerfuzzError):
     """Scan aborted before all requests were answered; no fingerprint emitted."""
 
-    def __init__(self, message: str, completed: int = 0):
-        super().__init__(message)
-        self.completed = completed
-
 
 class IncomparableError(FingerfuzzError):
     """Fingerprints were taken with different request collections."""

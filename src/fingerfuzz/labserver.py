@@ -20,7 +20,7 @@ from .errors import ParseError
 log = logging.getLogger("fingerfuzz.labserver")
 
 PREDICATES = ("ANY", "LEN_GT", "NONPRINT", "EMPTY")
-ACTIONS = ("REPLY", "MULTI", "DROP", "SILENCE")
+ACTIONS = ("REPLY", "MULTI", "DROP", "SILENCE", "DELAY")
 
 _RULE_COMMAND_RE = re.compile(r"^([A-Z]{3,8}|\*)$")
 
@@ -34,6 +34,7 @@ class Rule:
     code: int | None = None
     text: str = ""
     lines: tuple[str, ...] = ()
+    delay_ms: int = 0
 
     def matches(self, request: bytes) -> bool:
         head, _, arg = request.partition(b" ")
@@ -90,9 +91,11 @@ def validate_script(script: ServerScript) -> list[str]:
             problems.append(f"{where}: LEN_GT needs a non-negative threshold")
         if rule.action not in ACTIONS:
             problems.append(f"{where}: unknown action {rule.action!r}")
-        if rule.action == "REPLY":
+        if rule.action in ("REPLY", "DELAY"):
             check_code(rule.code, where)
             check_text(rule.text, where)
+        if rule.action == "DELAY" and (not isinstance(rule.delay_ms, int) or rule.delay_ms < 0):
+            problems.append(f"{where}: DELAY needs a non-negative whole number of ms")
         if rule.action == "MULTI":
             check_code(rule.code, where)
             if not rule.lines:
@@ -114,16 +117,29 @@ def render_multiline(code: int, lines: tuple[str, ...]) -> bytes:
     return "\r\n".join(parts).encode("latin-1") + b"\r\n"
 
 
-def apply_rules(script: ServerScript, request: bytes) -> tuple[str, bytes | None]:
-    """First matching rule wins; returns (action, wire bytes or None)."""
+def match_rule(script: ServerScript, request: bytes) -> Rule | None:
+    """The first matching rule, or None where the default reply applies."""
     for rule in script.rules:
         if rule.matches(request):
-            if rule.action == "REPLY":
-                return "REPLY", render_reply(rule.code, rule.text)
-            if rule.action == "MULTI":
-                return "MULTI", render_multiline(rule.code, rule.lines)
-            return rule.action, None
-    return "DEFAULT", render_reply(script.default_code, script.default_text)
+            return rule
+    return None
+
+
+def _outcome(script: ServerScript, rule: Rule | None) -> tuple[str, bytes | None]:
+    """(action, wire bytes or None) of a rule from match_rule."""
+    if rule is None:
+        return "DEFAULT", render_reply(script.default_code, script.default_text)
+    if rule.action in ("REPLY", "DELAY"):
+        return rule.action, render_reply(rule.code, rule.text)
+    if rule.action == "MULTI":
+        return "MULTI", render_multiline(rule.code, rule.lines)
+    return rule.action, None
+
+
+def apply_rules(script: ServerScript, request: bytes) -> tuple[str, bytes | None]:
+    """First matching rule wins; returns (action, wire bytes or None).  A
+    DELAY rule's bytes are its reply, which the server sends late."""
+    return _outcome(script, match_rule(script, request))
 
 
 class LabServer:
@@ -217,12 +233,15 @@ class LabServer:
                     conn.sendall(render_reply(script.pass_code, "ok"))
                     login_state = "done"
                     continue
-                action, payload = apply_rules(script, line)
+                rule = match_rule(script, line)
+                action, payload = _outcome(script, rule)
                 log.info("%s %r -> %s", script.name, line, action)
                 if action == "DROP":
                     return
                 if action == "SILENCE":
                     continue
+                if action == "DELAY" and self._stopping.wait(rule.delay_ms / 1000):
+                    return
                 conn.sendall(payload)
         except OSError:
             pass
@@ -241,7 +260,8 @@ def serve(script: ServerScript, port: int = 0, host: str = "127.0.0.1") -> LabSe
 #   name <label>
 #   greeting <code> <text>
 #   login USER=<code> PASS=<code>
-#   rule <CMD|*> <ANY|LEN_GT:n|NONPRINT|EMPTY> <REPLY:code:text|MULTI:code:l1|l2|DROP|SILENCE>
+#   rule <CMD|*> <ANY|LEN_GT:n|NONPRINT|EMPTY> <action>
+#     action: REPLY:code:text | MULTI:code:l1|l2 | DROP | SILENCE | DELAY:ms:code:text
 #   default <code> <text>
 
 def load_script(source: str) -> ServerScript:
@@ -306,6 +326,8 @@ def save_script(script: ServerScript) -> str:
             action = f"REPLY:{rule.code}:{rule.text}"
         elif rule.action == "MULTI":
             action = f"MULTI:{rule.code}:" + "|".join(rule.lines)
+        elif rule.action == "DELAY":
+            action = f"DELAY:{rule.delay_ms}:{rule.code}:{rule.text}"
         else:
             action = rule.action
         lines.append(f"rule {rule.command} {pred} {action}")
@@ -376,4 +398,12 @@ def _parse_rule(rest: str, line_no: int) -> Rule:
             raise ParseError("MULTI needs at least one line", line_no)
         return Rule(command, predicate, "MULTI", length_gt=length_gt,
                     code=_parse_code(code_token, line_no), lines=lines)
+    if kind == "DELAY":
+        ms_token, _, reply = payload.partition(":")
+        if not ms_token.isdigit():
+            raise ParseError(f"bad DELAY milliseconds in {action_token!r}", line_no)
+        code_token, _, text = reply.partition(":")
+        return Rule(command, predicate, "DELAY", length_gt=length_gt,
+                    code=_parse_code(code_token, line_no), text=text,
+                    delay_ms=int(ms_token))
     raise ParseError(f"unknown action {action_token!r}", line_no)

@@ -1,9 +1,11 @@
 """Positional comparison of fingerprints and ranking against a database.
 
 Two fingerprints are comparable only when they were taken with the same
-request collection (equal digests and vector lengths).  Agreement is exact
-token equality per position; fault sentinels count like codes, since the
-absence of a status code is itself a distinguishing signal.
+request collection (equal digests and vector lengths) and the same scan
+method (equal fp-versions; checked when a database is built and by the
+`match` command).  Agreement is exact token equality per position; fault
+sentinels count like codes, since the absence of a status code is itself a
+distinguishing signal.
 
 Agreement is counted on bitset planes.  A table gives every distinct token
 an id, and a fingerprint becomes one integer per distinct token, with bit
@@ -119,6 +121,12 @@ class FingerprintDB:
         lengths = {len(fp.observations) for fp in fingerprints.values()}
         if len(lengths) > 1:
             raise DatabaseError("entries disagree on observation count")
+        versions = {fp.fp_version for fp in fingerprints.values()}
+        if len(versions) > 1:
+            old = ", ".join(label for label, fp in sorted(fingerprints.items())
+                            if fp.fp_version != max(versions))
+            raise DatabaseError(f"entries mix fp-versions {sorted(versions)}; "
+                                f"rescan the older ones: {old}")
         self._by_label = dict(sorted(fingerprints.items()))
         self._ids = _TokenIds()
         self._vectors = tuple(map(self._ids.encode, self._by_label.values()))
@@ -147,6 +155,10 @@ class FingerprintDB:
     @property
     def digest(self) -> str:
         return next(iter(self._by_label.values())).collection_digest
+
+    @property
+    def fp_version(self) -> int:
+        return next(iter(self._by_label.values())).fp_version
 
     def __len__(self) -> int:
         return len(self._by_label)

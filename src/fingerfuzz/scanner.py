@@ -1,14 +1,25 @@
 """Runs a request collection against one target and records the reply vector.
 
 The resulting fingerprint holds one observation per collection record, in
-order.  A dropped connection is itself recorded as an observation; the
-scanner then reconnects and re-logs-in so that later positions stay
-aligned with their requests.
+order.  The scan is cut into segments of one command block each (the
+per-command length of the collection's config; a reduced collection is cut
+into runs of the same length), so the segments depend only on the `.fc`
+file.  Every segment runs on its own connection and login, so state left by
+fuzzed USER, PASS or REIN requests does not leak into the next block, and
+up to `TargetSpec.sessions` segments run at the same time.  The first login
+is made before any other connection: a refused login opens no second one.
+
+Within a segment, a dropped connection is itself recorded as an
+observation; the scanner then reconnects and logs in again so that later
+positions stay aligned with their requests.  A timeout is handled the same
+way, because a reply that arrives late would otherwise be read as the
+answer to the next request.
 """
 
 from __future__ import annotations
 
-import time
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import BinaryIO
@@ -22,10 +33,14 @@ from .errors import (
     ScanRefusedError,
     TransportError,
 )
-from .fuzzgen import FuzzCollection
+from .fuzzgen import FuzzCollection, RequestRecord
 from .wire import FtpSession, ReplyObservation, TargetSpec
 
-FP_VERSION = 1
+# Version 2: segmented sessions, and a reconnect after every timeout.
+# Version 1 files (one session in scan order) are still read, so a database
+# stays loadable, but FingerprintDB refuses to mix the two versions.
+FP_VERSION = 2
+READABLE_FP_VERSIONS = (1, 2)
 
 RECONNECT_ATTEMPTS = 3
 
@@ -41,6 +56,13 @@ class Fingerprint:
     )
     greeting: ReplyObservation = wire.GARBLED_OBS
     login: tuple[ReplyObservation, ...] = ()
+    fp_version: int = FP_VERSION
+
+
+def segment_length(collection: FuzzCollection) -> int:
+    """Records per command block of the collection's config."""
+    config = collection.config
+    return (config.max_arg_len + 1) * config.instances * (config.mutations + 1)
 
 
 def fingerprint_target(
@@ -49,10 +71,11 @@ def fingerprint_target(
     label: str | None = None,
     delay: float = 0.0,
 ) -> Fingerprint:
-    """Send every collection record in order and return the reply vector.
+    """Send every collection record and return the reply vector in order.
 
     Requires a successful login first: without valid access all servers of
     interest answer with one uniform error code and cannot be told apart.
+    `delay` is the pause after each request of one session.
     """
     session = wire.connect(target)
     try:
@@ -68,13 +91,57 @@ def fingerprint_target(
     greeting = session.greeting
     login_obs = (user_reply,) + ((pass_reply,) if pass_reply is not None else ())
 
+    step = segment_length(collection)
+    records = collection.records
+    stop = threading.Event()
+    pool = ThreadPoolExecutor(target.sessions, thread_name_prefix="fingerfuzz-scan")
+    try:
+        futures = [
+            pool.submit(_scan_segment, target, records[start:start + step], delay,
+                        stop, session if start == 0 else None)
+            for start in range(0, len(records), step)
+        ]
+        done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            if future in done and future.exception() is not None:
+                raise future.exception()
+        observations = tuple(obs for future in futures for obs in future.result())
+    finally:
+        stop.set()
+        pool.shutdown(cancel_futures=True)
+        session.close()
+
+    return Fingerprint(
+        collection_digest=collection.digest,
+        target=target.descriptor,
+        observations=observations,
+        label=label,
+        greeting=greeting,
+        login=login_obs,
+    )
+
+
+def _scan_segment(
+    target: TargetSpec,
+    records: tuple[RequestRecord, ...],
+    delay: float,
+    stop: threading.Event,
+    session: FtpSession | None,
+) -> list[ReplyObservation] | None:
+    """One segment on the given session, or on a fresh login if None.
+
+    Returns None, unfinished, once `stop` is set.  A failure sets `stop`
+    itself, so that no other segment sends another request or connects.
+    """
     observations: list[ReplyObservation] = []
     try:
-        for record in collection.records:
+        for record in records:
             attempts_left = RECONNECT_ATTEMPTS
             while True:
-                if not session.alive:
-                    session = _reconnect(target, len(observations))
+                if stop.is_set():
+                    return None
+                if session is None or not session.alive:
+                    session = _reconnect(target)
                 try:
                     obs = session.exchange(record.bytes)
                     break
@@ -83,26 +150,23 @@ def fingerprint_target(
                     attempts_left -= 1
                     if attempts_left <= 0:
                         raise PartialScanError(
-                            f"transport failure at request {record.index}: {exc}",
-                            completed=len(observations),
+                            f"transport failure at request {record.index}: {exc}"
                         ) from exc
+            if obs.kind == wire.TIMEOUT:
+                session.close()  # a late reply must not answer the next request
             observations.append(obs)
             if delay > 0:
-                time.sleep(delay)
+                stop.wait(delay)
+    except BaseException:
+        stop.set()
+        raise
     finally:
-        session.close()
-
-    return Fingerprint(
-        collection_digest=collection.digest,
-        target=target.descriptor,
-        observations=tuple(observations),
-        label=label,
-        greeting=greeting,
-        login=login_obs,
-    )
+        if session is not None:
+            session.close()
+    return observations
 
 
-def _reconnect(target: TargetSpec, completed: int) -> FtpSession:
+def _reconnect(target: TargetSpec) -> FtpSession:
     last_error: Exception | None = None
     for _ in range(RECONNECT_ATTEMPTS):
         try:
@@ -113,8 +177,7 @@ def _reconnect(target: TargetSpec, completed: int) -> FtpSession:
             last_error = exc
     raise PartialScanError(
         f"reconnect to {target.descriptor} failed {RECONNECT_ATTEMPTS} times: "
-        f"{last_error}",
-        completed=completed,
+        f"{last_error}"
     )
 
 
@@ -142,8 +205,10 @@ def write_fingerprint(fp: Fingerprint, sink: BinaryIO) -> None:
         raise ValueError("fingerprint needs one or two login observations")
     if not fp.observations:
         raise ValueError("fingerprint has no observations")
+    if fp.fp_version not in READABLE_FP_VERSIONS:
+        raise ValueError(f"unknown fp-version {fp.fp_version}")
     lines = [
-        f"#fp-version {FP_VERSION}",
+        f"#fp-version {fp.fp_version}",
         f"#collection {fp.collection_digest}",
         f"#target {fp.target}",
     ]
@@ -186,7 +251,7 @@ def read_fingerprint(source: BinaryIO) -> Fingerprint:
         return headers[key]
 
     version, line_no = need("fp-version")
-    if version != str(FP_VERSION):
+    if version not in map(str, READABLE_FP_VERSIONS):
         raise ParseError(f"unsupported fp-version {version!r}", line_no)
     digest, line_no = need("collection")
     if len(digest) != 64 or any(c not in "0123456789abcdef" for c in digest):
@@ -222,6 +287,7 @@ def read_fingerprint(source: BinaryIO) -> Fingerprint:
         created_at=created,
         greeting=greeting,
         login=login,
+        fp_version=int(version),
     )
 
 

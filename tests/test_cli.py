@@ -73,6 +73,15 @@ def test_generate_missing_commands_file(tmp_path):
     assert code == 2
 
 
+def test_generate_rejects_non_ascii_commands_file(tmp_path, capsys):
+    commands = tmp_path / "cmds.txt"
+    commands.write_bytes(b"NOOP\nS\xffST\n")
+    out = tmp_path / "c.fc"
+    assert main(["generate", "--commands", str(commands), "-o", str(out)]) == 2
+    assert "line 2: non-ASCII" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_env_fallback_and_flag_precedence(tmp_path, monkeypatch):
     via_env = tmp_path / "env.fc"
     via_flag = tmp_path / "flag.fc"
@@ -167,6 +176,64 @@ def test_scan_rejects_unwritable_label_before_connecting(tmp_path, tiny_fc,
     assert "label" in capsys.readouterr().err
     assert server.connections == 0
     assert not out.exists()
+
+
+def test_scan_rejects_non_ascii_targets_file_before_connecting(tmp_path, tiny_fc,
+                                                               lab_factory, capsys):
+    server = lab_factory(constant_script("unused", 200))
+    targets = tmp_path / "targets.txt"
+    targets.write_bytes(f"127.0.0.1:{server.port}\n".encode() + b"h\xc3\xb6st:21\n")
+    out_dir = tmp_path / "fps"
+    code = main(["scan", "--collection", str(tiny_fc), "--targets", str(targets),
+                 *FAST_SCAN, "-o", str(out_dir)])
+    assert code == 2
+    assert "line 2: non-ASCII" in capsys.readouterr().err
+    assert server.connections == 0
+    assert not out_dir.exists()
+
+
+def test_scan_rejects_bad_target_before_connecting(tmp_path, tiny_fc, lab_factory,
+                                                  capsys):
+    server = lab_factory(constant_script("unused", 200))
+    targets = tmp_path / "targets.txt"
+    targets.write_text(f"127.0.0.1:{server.port}\n127.0.0.1:70000\n")
+    out_dir = tmp_path / "fps"
+    assert main(["scan", "--collection", str(tiny_fc), "--targets", str(targets),
+                 *FAST_SCAN, "-o", str(out_dir)]) == 2
+    assert "70000" in capsys.readouterr().err
+    assert main(["scan", "--collection", str(tiny_fc), "--host", "127.0.0.1",
+                 "--port", str(server.port), "--timeout", "0.1", "--drain-window", "0.2",
+                 "-o", str(tmp_path / "x.fp")]) == 2
+    assert "drain_window" in capsys.readouterr().err
+    assert server.connections == 0
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("sessions", ["0", "33", "many"])
+def test_scan_rejects_bad_session_count(tmp_path, tiny_fc, lab_factory, sessions):
+    server = lab_factory(constant_script("unused", 200))
+    try:
+        code = main(["scan", "--collection", str(tiny_fc), "--host", "127.0.0.1",
+                     "--port", str(server.port), "--sessions", sessions,
+                     "-o", str(tmp_path / "x.fp")])
+    except SystemExit as exc:  # argparse rejects what is not a positive integer
+        code = exc.code
+    assert code == 2
+    assert server.connections == 0
+
+
+def test_scan_one_session_gives_the_same_fingerprint(tmp_path, tiny_fc, lab_factory):
+    server = lab_factory(ServerScript(
+        name="scanme", rules=(Rule("NOOP", "ANY", "REPLY", code=200, text="ok"),)))
+    outputs = []
+    for sessions in ("1", "8"):
+        outputs.append(tmp_path / f"s{sessions}.fp")
+        assert main(["scan", "--collection", str(tiny_fc), "--host", "127.0.0.1",
+                     "--port", str(server.port), "--sessions", sessions, *FAST_SCAN,
+                     "-o", str(outputs[-1])]) == 0
+    first, second = (load_fingerprint(path) for path in outputs)
+    assert first.observations == second.observations
+    assert server.connections == 2 * 2  # two command blocks, two scans
 
 
 def test_scan_rejects_label_with_targets_before_connecting(tmp_path, tiny_fc,
@@ -298,6 +365,13 @@ def test_match_digest_mismatch_exits_1(tmp_path, match_fixture, capsys):
     assert main(["match", "--db", str(db_dir),
                  "--fingerprint", str(alien_path)]) == 1
     assert "alpha" in capsys.readouterr().err
+
+
+def test_match_refuses_version_1_probe(match_fixture, capsys):
+    db_dir, probe = match_fixture
+    probe.write_text(probe.read_text().replace("#fp-version 2", "#fp-version 1"))
+    assert main(["match", "--db", str(db_dir), "--fingerprint", str(probe)]) == 1
+    assert "rescan" in capsys.readouterr().err
 
 
 def test_match_requires_probe_or_matrix(match_fixture):

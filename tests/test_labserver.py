@@ -72,6 +72,9 @@ def test_script_round_trip():
         ("name a\nrule NOOP LEN_GT:x DROP\ndefault 502 y\n", "LEN_GT"),
         ("name a\nwat 1\ndefault 502 y\n", "wat"),
         ("name a\nlogin USER=331\ndefault 502 y\n", "login"),
+        ("name a\nrule SYST ANY DELAY:soon:215:x\ndefault 502 y\n", "DELAY"),
+        ("name a\nrule SYST ANY DELAY:-5:215:x\ndefault 502 y\n", "DELAY"),
+        ("name a\nrule SYST ANY DELAY:100:915:x\ndefault 502 y\n", "915"),
     ],
 )
 def test_load_rejects_bad_scripts(text, fragment):
@@ -89,6 +92,17 @@ def test_validate_reports_out_of_range_codes():
     script = ServerScript(name="bad", greeting_code=99)
     assert any("99" in problem for problem in validate_script(script))
     assert validate_script(constant_script()) == []
+
+
+def test_delay_rule_grammar():
+    script = load_script("name d\nrule SYST ANY DELAY:150:215:UNIX: late\ndefault 502 no\n")
+    assert script.rules[0] == Rule("SYST", "ANY", "DELAY", code=215,
+                                   text="UNIX: late", delay_ms=150)
+    assert load_script(save_script(script)) == script
+    assert apply_rules(script, b"SYST") == ("DELAY", b"215 UNIX: late\r\n")
+    negative = ServerScript(name="n", rules=(Rule("SYST", "ANY", "DELAY", code=215,
+                                                  delay_ms=-1),))
+    assert any("DELAY" in problem for problem in validate_script(negative))
 
 
 # --- rule evaluation ----------------------------------------------------------
@@ -227,6 +241,24 @@ def test_identical_request_sequences_get_identical_replies(lab_factory):
         return replies
 
     assert run() == run()
+
+
+def test_delay_rule_answers_late(lab_factory):
+    import time
+
+    server = lab_factory(load_script(
+        "name slow\nrule SYST ANY DELAY:200:215:late\ndefault 502 no\n"))
+    sock = raw_session(server.port)
+    read_line(sock)
+    sock.sendall(b"USER u\r\nPASS p\r\n")
+    read_line(sock)
+    read_line(sock)
+    start = time.monotonic()
+    sock.sendall(b"SYST\r\nNOOP\r\n")
+    assert read_line(sock) == b"215 late\r\n"
+    assert time.monotonic() - start >= 0.2
+    assert read_line(sock) == b"502 no\r\n"  # later requests wait behind it
+    sock.close()
 
 
 def test_two_concurrent_connections(lab_factory):

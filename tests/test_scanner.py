@@ -1,20 +1,25 @@
 from __future__ import annotations
 
 import io
+import selectors
 import socket
+import sys
 import threading
 
 import pytest
 
-from fingerfuzz.errors import ParseError, PartialScanError, ScanRefusedError
-from fingerfuzz.fuzzgen import FuzzConfig, build_collection
+from fingerfuzz.errors import DatabaseError, ParseError, PartialScanError, ScanRefusedError
+from fingerfuzz.fuzzgen import DEFAULT_COMMANDS, FuzzConfig, build_collection
 from fingerfuzz.labserver import Rule, ServerScript
+from fingerfuzz.matcher import FingerprintDB
 from fingerfuzz.scanner import (
+    RECONNECT_ATTEMPTS,
     Fingerprint,
     fingerprint_target,
     load_fingerprint,
     read_fingerprint,
     save_fingerprint,
+    segment_length,
     write_fingerprint,
 )
 from fingerfuzz.wire import DROPPED, GARBLED, TIMEOUT, ReplyObservation, of_code
@@ -140,6 +145,22 @@ def test_login_failure_refuses_scan(lab_factory):
     assert err.value.pass_reply == of_code(530)
 
 
+def test_late_reply_does_not_shift_alignment(lab_factory):
+    # the empty SYST is answered 300 ms late; without a reconnect after the
+    # timeout the scan read TMO, TMO, 215 here
+    script = ServerScript(
+        name="slow",
+        rules=(Rule("SYST", "EMPTY", "DELAY", code=215, text="UNIX", delay_ms=300),
+               Rule("SYST", "ANY", "REPLY", code=200, text="ok")),
+    )
+    collection = tiny_collection(commands=("SYST",), max_arg_len=2, mutations=0)
+    assert [r.bytes == b"SYST" for r in collection.records] == [True, False, False]
+    server = lab_factory(script)
+    fp = fingerprint_target(collection, fast_target(server.port, reply_timeout=0.1))
+    assert fp.observations == (ReplyObservation(TIMEOUT), of_code(200), of_code(200))
+    assert server.connections == 2
+
+
 def test_reconnect_exhaustion_aborts():
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
@@ -163,6 +184,168 @@ def test_reconnect_exhaustion_aborts():
     with pytest.raises(PartialScanError):
         fingerprint_target(tiny_collection(), fast_target(port))
     thread.join(timeout=2)
+
+
+# --- segmented sessions ----------------------------------------------------------
+
+class Responder:
+    """A one-thread FTP responder on raw sockets.  After the login on a
+    connection, `answer(n, line)` gives the reply to the n-th request (from
+    0) on that connection, or None to drop the connection.  Every accepted
+    connection is closed at once while `dead` is set."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.connections = 0
+        self.dead = False
+        self._listener = socket.create_server(("127.0.0.1", 0), backlog=64)
+        self.port = self._listener.getsockname()[1]
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._loop, daemon=True)
+        self._thread.start()
+
+    def _loop(self):
+        while not self._stop.is_set():
+            for key, _ in self._selector.select(0.05):
+                if key.fileobj is self._listener:
+                    self._accept()
+                else:
+                    self._serve(key.fileobj, key.data)
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
+
+    def _accept(self):
+        conn, _ = self._listener.accept()
+        self.connections += 1
+        if self.dead:
+            conn.close()
+            return
+        conn.sendall(b"220 hi\r\n")
+        self._selector.register(conn, selectors.EVENT_READ, {"buffer": b"", "count": -2})
+
+    def _serve(self, conn, state):
+        try:
+            chunk = conn.recv(4096)
+            state["buffer"] += chunk
+            while chunk and b"\n" in state["buffer"]:
+                line, _, state["buffer"] = state["buffer"].partition(b"\n")
+                count = state["count"]
+                state["count"] += 1
+                if self.dead:
+                    reply = None
+                elif count < 0:  # USER, then PASS
+                    reply = b"331 user ok" if count == -2 else b"230 logged in"
+                else:
+                    reply = self.answer(count, line.rstrip(b"\r"))
+                if reply is None:
+                    chunk = b""
+                    break
+                conn.sendall(reply + b"\r\n")
+        except OSError:
+            chunk = b""
+        if not chunk:
+            self._selector.unregister(conn)
+            conn.close()
+
+    def close(self):
+        self._stop.set()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+@pytest.fixture
+def responder_factory():
+    responders = []
+
+    def start(answer):
+        responders.append(Responder(answer))
+        return responders[-1]
+
+    yield start
+    for responder in responders:
+        responder.close()
+
+
+def count_reply(n, line):
+    """A stateful reply: the code grows with the requests seen on the connection."""
+    return f"{200 + n} reply {n}".encode()
+
+
+def body_of(fp: Fingerprint) -> bytes:
+    return b"".join(line + b"\n" for line in serialize(fp).splitlines()
+                    if not line.startswith(b"#"))
+
+
+def test_segments_are_command_blocks():
+    full = tiny_collection(commands=("NOOP", "SYST", "HELP"), max_arg_len=2, mutations=1)
+    assert segment_length(full) == 6
+    assert all(len({r.command for r in full.records[i:i + 6]}) == 1
+               for i in range(0, len(full.records), 6))
+    assert segment_length(build_collection(FuzzConfig())) == 170
+
+
+def test_each_segment_starts_a_fresh_session(responder_factory):
+    commands = DEFAULT_COMMANDS[:12]
+    collection = tiny_collection(commands=commands, max_arg_len=2, mutations=1)
+    step = segment_length(collection)
+    expected = tuple(of_code(200 + i % step) for i in range(len(collection.records)))
+    bodies = set()
+    for sessions in (1, 8):
+        responder = responder_factory(count_reply)
+        fp = fingerprint_target(collection, fast_target(responder.port, sessions=sessions))
+        assert fp.observations == expected
+        assert responder.connections == len(commands)
+        bodies.add(body_of(fp))
+    assert len(bodies) == 1
+
+
+def test_many_sessions_under_fast_thread_switching(responder_factory):
+    collection = tiny_collection(commands=DEFAULT_COMMANDS, max_arg_len=1, mutations=2)
+    step = segment_length(collection)
+    responder = responder_factory(count_reply)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        fp = fingerprint_target(collection, fast_target(responder.port, sessions=32))
+    finally:
+        sys.setswitchinterval(interval)
+    assert fp.observations == tuple(
+        of_code(200 + i % step) for i in range(len(collection.records)))
+
+
+def test_one_connection_per_segment(lab_factory):
+    collection = tiny_collection(commands=("NOOP", "SYST", "HELP", "STAT", "FEAT"),
+                                 max_arg_len=1, mutations=1)
+    server = lab_factory(constant_script(code=200))
+    fp = fingerprint_target(collection, fast_target(server.port, sessions=2))
+    assert fp.observations == (of_code(200),) * len(collection.records)
+    assert server.connections == 5
+
+
+def test_target_death_stops_the_scan(responder_factory):
+    collection = tiny_collection(commands=DEFAULT_COMMANDS[:12], max_arg_len=5,
+                                 mutations=1)
+    sessions = 2
+
+    def dies_mid_segment(n, line):
+        if n == 5:  # the sixth of twelve requests, on the first segment to get there
+            responder.dead = True
+            connections_at_death.append(responder.connections)
+            return None
+        return b"200 ok"
+
+    connections_at_death = []
+    responder = responder_factory(dies_mid_segment)
+    threads_before = threading.active_count()
+    with pytest.raises(PartialScanError):
+        fingerprint_target(collection, fast_target(responder.port, sessions=sessions))
+    assert threading.active_count() == threads_before
+    # only the running segments try to reconnect; none of the ten waiting starts
+    assert len(connections_at_death) == 1
+    assert responder.connections - connections_at_death[0] <= sessions * RECONNECT_ATTEMPTS
 
 
 # --- fingerprint files -----------------------------------------------------------
@@ -197,7 +380,7 @@ def test_fingerprint_tokens():
 def test_fingerprint_headers():
     text = serialize(sample_fingerprint()).decode("ascii")
     lines = text.splitlines()
-    assert lines[0] == "#fp-version 1"
+    assert lines[0] == "#fp-version 2"
     assert lines[1] == "#collection " + "ab" * 32
     assert lines[2] == "#target 127.0.0.1:2121"
     assert lines[3] == "#label sample"
@@ -233,7 +416,7 @@ def test_fingerprint_save_load(tmp_path):
     "mangle",
     [
         lambda t: t.replace("TMO", "WAT"),
-        lambda t: t.replace("#fp-version 1", "#fp-version 9"),
+        lambda t: t.replace("#fp-version 2", "#fp-version 9"),
         lambda t: t.replace("#greeting 220\n", ""),
         lambda t: t.replace("#login 331,230", "#login 331,230,230"),
         lambda t: t.replace("500", "5000"),
@@ -244,3 +427,15 @@ def test_fingerprint_parse_errors(mangle):
     text = serialize(sample_fingerprint()).decode("ascii")
     with pytest.raises(ParseError):
         read_fingerprint(io.BytesIO(mangle(text).encode("ascii")))
+
+
+def test_version_1_files_load_but_never_mix_with_version_2(tmp_path):
+    text = serialize(sample_fingerprint()).decode("ascii")
+    old_text = text.replace("#fp-version 2", "#fp-version 1")
+    old = read_fingerprint(io.BytesIO(old_text.encode("ascii")))
+    assert old.fp_version == 1 and sample_fingerprint().fp_version == 2
+    assert serialize(old).decode("ascii") == old_text
+    (tmp_path / "old.fp").write_text(old_text.replace("sample", "old"))
+    (tmp_path / "new.fp").write_text(text)
+    with pytest.raises(DatabaseError, match="rescan the older ones: old"):
+        FingerprintDB.load(tmp_path)

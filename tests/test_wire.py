@@ -158,6 +158,7 @@ def test_target_defaults():
     assert target.reply_timeout == 5.0
     assert target.drain_window == 0.2
     assert target.connect_timeout == 10.0
+    assert target.sessions == 2
     assert target.descriptor == "ftp.example.org:21"
 
 
@@ -170,6 +171,8 @@ def test_target_defaults():
         dict(drain_window=0),
         dict(connect_timeout=-1),
         dict(drain_window=6.0),  # >= reply_timeout
+        dict(sessions=0),
+        dict(sessions=33),
     ],
 )
 def test_target_validation(kwargs):
