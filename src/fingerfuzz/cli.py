@@ -17,8 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import fuzzgen, labserver, matcher, optimizer, scanner, wire
-from .errors import FingerfuzzError, IncomparableError
-from .fileio import atomic_write
+from .errors import FingerfuzzError, IncomparableError, ParseError
+from .fileio import atomic_write, decode_ascii
 
 SEED_ENV_VAR = "FINGERFUZZ_SEED"
 
@@ -151,12 +151,10 @@ def _list_file(source: str, kind: str) -> list[str]:
     path = Path(source)
     if not path.is_file():
         raise UsageError(f"{kind} file not found: {source}")
-    data = path.read_bytes()
     try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise UsageError(f"{kind} file {source} line {line_no}: non-ASCII byte") from None
+        text = decode_ascii(path.read_bytes(), f"{kind} file {source}")
+    except ParseError as exc:
+        raise UsageError(str(exc)) from None
     lines = (line.strip() for line in text.splitlines())
     return [line for line in lines if line and not line.startswith("#")]
 
@@ -317,10 +315,7 @@ def cmd_optimize(args) -> int:
 def cmd_lab(args) -> int:
     try:
         script = labserver.load_script_file(args.script)
-    except FingerfuzzError as exc:
-        print(f"script error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FingerfuzzError, OSError) as exc:
         print(f"script error: {exc}", file=sys.stderr)
         return 2
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,

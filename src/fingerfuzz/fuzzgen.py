@@ -10,11 +10,13 @@ which is what makes fingerprints of different targets comparable.
 from __future__ import annotations
 
 import hashlib
+import io
 import re
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable
 
 from .errors import ConfigError, IntegrityError, ParseError
+from .fileio import atomic_write, decode_ascii, format_header, parse_header
 from .rng import SplitMix64
 
 # Control-connection commands only; transfer and directory-changing commands
@@ -130,16 +132,16 @@ def mutate(message: bytes, rng: SplitMix64, alphabet: Iterable[int] = _DEFAULT_A
     if len(message) == 0:
         op = "insert"
     else:
-        op = ("insert", "change", "delete")[rng.below(3)]
+        op = rng.choice(("insert", "change", "delete"))
     if op == "insert":
         pos = rng.below(len(message) + 1)
-        byte = letters[rng.below(len(letters))]
+        byte = rng.choice(letters)
         return message[:pos] + bytes([byte]) + message[pos:]
     if op == "change":
         pos = rng.below(len(message))
         original = message[pos]
         pool = [b for b in letters if b != original]
-        byte = pool[rng.below(len(pool))]
+        byte = rng.choice(pool)
         return message[:pos] + bytes([byte]) + message[pos + 1:]
     pos = rng.below(len(message))
     return message[:pos] + message[pos + 1:]
@@ -164,7 +166,7 @@ def build_collection(config: FuzzConfig) -> FuzzCollection:
                 if arg_len == 0:
                     base = cmd_bytes
                 else:
-                    arg = bytes(printable[rng.below(len(printable))] for _ in range(arg_len))
+                    arg = bytes(rng.choice(printable) for _ in range(arg_len))
                     base = cmd_bytes + b" " + arg
                 records.append(RequestRecord(index, base, command, arg_len, instance, 0))
                 index += 1
@@ -241,98 +243,79 @@ def _excludes_token(alphabet: frozenset[int]) -> str:
 
 def _parse_excludes_token(token: str) -> frozenset[int]:
     if len(token) % 2 != 0 or not token:
-        raise ParseError("alphabet-excludes must be hex byte pairs")
+        raise ValueError("alphabet-excludes must be hex byte pairs")
     try:
         excluded = {int(token[i : i + 2], 16) for i in range(0, len(token), 2)}
     except ValueError:
-        raise ParseError("alphabet-excludes must be hex byte pairs") from None
+        raise ValueError("alphabet-excludes must be hex byte pairs") from None
     return frozenset(range(256)) - excluded
+
+
+def _parse_fc_version(text: str) -> int:
+    if text != str(FC_VERSION):
+        raise ValueError(f"unsupported fc-version {text!r}")
+    return FC_VERSION
+
+
+# key -> value parser, in the order write_collection emits them; the header
+# always closes with the digest line, because requests may themselves start
+# with '#' and so the boundary must be structural
+_FC_HEADER = {
+    "fc-version": _parse_fc_version,
+    "seed": int,
+    "commands": lambda text: tuple(c for c in text.split(",") if c),
+    "max-arg-len": int,
+    "instances": int,
+    "mutations": int,
+    "alphabet-excludes": _parse_excludes_token,
+    "reduced-from": str,
+    "digest": str,
+}
 
 
 def write_collection(collection: FuzzCollection, sink: BinaryIO) -> None:
     """Serialize to the text collection format (LF endings, escaped body)."""
     cfg = collection.config
-    header = [
-        f"#fc-version {FC_VERSION}",
-        f"#seed {cfg.seed}",
-        f"#commands {','.join(cfg.commands)}",
-        f"#max-arg-len {cfg.max_arg_len}",
-        f"#instances {cfg.instances}",
-        f"#mutations {cfg.mutations}",
-        f"#alphabet-excludes {_excludes_token(cfg.alphabet)}",
-    ]
-    if collection.reduced_from is not None:
-        header.append(f"#reduced-from {collection.reduced_from}")
-    header.append(f"#digest {collection.digest}")
-    for line in header:
-        sink.write(line.encode("ascii") + b"\n")
-    for record in collection.records:
-        sink.write(escape_line(record.bytes).encode("ascii") + b"\n")
+    sink.write(format_header([
+        ("fc-version", FC_VERSION),
+        ("seed", cfg.seed),
+        ("commands", ",".join(cfg.commands)),
+        ("max-arg-len", cfg.max_arg_len),
+        ("instances", cfg.instances),
+        ("mutations", cfg.mutations),
+        ("alphabet-excludes", _excludes_token(cfg.alphabet)),
+        ("reduced-from", collection.reduced_from),
+        ("digest", collection.digest),
+    ]))
+    body = "".join([escape_line(record.bytes) + "\n" for record in collection.records])
+    sink.write(body.encode("ascii"))
 
 
 def read_collection(source: BinaryIO) -> FuzzCollection:
     """Parse and verify a collection file; digest mismatch is an error."""
-    lines = source.read().split(b"\n")
-    if lines and lines[-1] == b"":
+    lines = decode_ascii(source.read(), "collection file").split("\n")
+    if lines and lines[-1] == "":
         lines.pop()  # the file's terminating LF, not an empty request
-    headers: dict[str, str] = {}
+    headers, start = parse_header(lines, _FC_HEADER, "digest", optional=("reduced-from",))
     body: list[bytes] = []
-    in_body = False
-    for line_no, raw in enumerate(lines, start=1):
-        try:
-            line = raw.decode("ascii")
-        except UnicodeDecodeError:
-            raise ParseError("non-ASCII byte in collection file", line_no) from None
-        if not in_body:
-            # the header block always closes with the digest line; requests
-            # may themselves start with '#', so the boundary is structural
-            if not line.startswith("#"):
-                raise ParseError("expected a '#' header line", line_no)
-            key, _, value = line[1:].partition(" ")
-            if key in headers:
-                raise ParseError(f"duplicate header '{key}'", line_no)
-            headers[key] = value
-            if key == "digest":
-                in_body = True
-            continue
-        try:
-            body.append(unescape_line(line))
-        except ParseError as exc:
-            raise ParseError(str(exc), line_no) from None
-
-    def need(key: str) -> str:
-        if key not in headers:
-            raise ParseError(f"missing header '{key}'")
-        return headers[key]
-
-    if need("fc-version") != str(FC_VERSION):
-        raise ParseError(f"unsupported fc-version {headers['fc-version']!r}")
     try:
-        seed = int(need("seed"))
-        max_arg_len = int(need("max-arg-len"))
-        instances = int(need("instances"))
-        mutations = int(need("mutations"))
-    except ValueError as exc:
-        raise ParseError(f"bad numeric header: {exc}") from None
-    commands = tuple(c for c in need("commands").split(",") if c)
-    alphabet = _parse_excludes_token(need("alphabet-excludes"))
-    config = FuzzConfig(commands, max_arg_len, instances, mutations, seed, alphabet)
+        for line_no, line in enumerate(lines[start:], start=start + 1):
+            body.append(unescape_line(line))
+    except ParseError as exc:
+        raise ParseError(str(exc), line_no) from None
+
+    config = FuzzConfig(
+        headers["commands"], headers["max-arg-len"], headers["instances"],
+        headers["mutations"], headers["seed"], headers["alphabet-excludes"],
+    )
     config.validate()
 
-    stored = need("digest")
+    stored = headers["digest"]
     actual = body_digest(body)
     if stored != actual:
         raise IntegrityError(f"digest mismatch: header {stored}, body {actual}")
 
     reduced_from = headers.get("reduced-from")
-    known = {
-        "fc-version", "seed", "commands", "max-arg-len", "instances",
-        "mutations", "alphabet-excludes", "digest", "reduced-from",
-    }
-    for key in headers:
-        if key not in known:
-            raise ParseError(f"unknown header '{key}'")
-
     if reduced_from is None:
         if len(body) != config.record_count():
             raise ParseError(
@@ -365,10 +348,6 @@ def _coordinates(config: FuzzConfig, index: int) -> tuple[str, int, int, int]:
 
 
 def save_collection(collection: FuzzCollection, path) -> None:
-    import io
-
-    from .fileio import atomic_write
-
     buf = io.BytesIO()
     write_collection(collection, buf)
     atomic_write(path, buf.getvalue())

@@ -16,6 +16,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import ParseError
+from .fileio import decode_ascii
 
 log = logging.getLogger("fingerfuzz.labserver")
 
@@ -35,6 +36,29 @@ class Rule:
     text: str = ""
     lines: tuple[str, ...] = ()
     delay_ms: int = 0
+
+    def __post_init__(self):
+        if not _RULE_COMMAND_RE.match(self.command):
+            raise ValueError(f"bad command {self.command!r}")
+        if self.predicate not in PREDICATES:
+            raise ValueError(f"unknown predicate {self.predicate!r}")
+        if self.predicate == "LEN_GT" and (self.length_gt is None or self.length_gt < 0):
+            raise ValueError("LEN_GT needs a non-negative threshold")
+        if self.action not in ACTIONS:
+            raise ValueError(f"unknown action {self.action!r}")
+        if self.action in ("REPLY", "DELAY", "MULTI"):
+            _check_code(self.code, self.action)
+        if self.action in ("REPLY", "DELAY"):
+            _check_text(self.text, self.action)
+        if self.action == "DELAY" and (not isinstance(self.delay_ms, int) or self.delay_ms < 0):
+            raise ValueError("DELAY needs a non-negative whole number of ms")
+        if self.action == "MULTI":
+            if not self.lines:
+                raise ValueError("MULTI needs at least one line")
+            for text in self.lines:
+                _check_text(text, "MULTI")
+                if "|" in text:
+                    raise ValueError("MULTI line must not contain '|'")
 
     def matches(self, request: bytes) -> bool:
         head, _, arg = request.partition(b" ")
@@ -60,51 +84,25 @@ class ServerScript:
     default_code: int = 502
     default_text: str = "command not implemented"
 
+    def __post_init__(self):
+        if not self.name or any(ch.isspace() for ch in self.name):
+            raise ValueError("name: must be a single non-empty word")
+        _check_code(self.greeting_code, "greeting")
+        _check_text(self.greeting_text, "greeting")
+        _check_code(self.user_code, "login USER")
+        _check_code(self.pass_code, "login PASS")
+        _check_code(self.default_code, "default")
+        _check_text(self.default_text, "default")
 
-def validate_script(script: ServerScript) -> list[str]:
-    """Return human-readable problems; empty list means the script is usable."""
-    problems = []
 
-    def check_code(code, where):
-        if not isinstance(code, int) or not 100 <= code <= 599:
-            problems.append(f"{where}: code {code!r} outside 100..599")
+def _check_code(code, where: str) -> None:
+    if not isinstance(code, int) or not 100 <= code <= 599:
+        raise ValueError(f"{where}: code {code!r} outside 100..599")
 
-    def check_text(text, where):
-        if any(ch in "\r\n" for ch in text):
-            problems.append(f"{where}: text must not contain line breaks")
 
-    if not script.name or any(ch.isspace() for ch in script.name):
-        problems.append("name: must be a single non-empty word")
-    check_code(script.greeting_code, "greeting")
-    check_text(script.greeting_text, "greeting")
-    check_code(script.user_code, "login USER")
-    check_code(script.pass_code, "login PASS")
-    check_code(script.default_code, "default")
-    check_text(script.default_text, "default")
-    for i, rule in enumerate(script.rules, start=1):
-        where = f"rule {i}"
-        if not _RULE_COMMAND_RE.match(rule.command):
-            problems.append(f"{where}: bad command {rule.command!r}")
-        if rule.predicate not in PREDICATES:
-            problems.append(f"{where}: unknown predicate {rule.predicate!r}")
-        if rule.predicate == "LEN_GT" and (rule.length_gt is None or rule.length_gt < 0):
-            problems.append(f"{where}: LEN_GT needs a non-negative threshold")
-        if rule.action not in ACTIONS:
-            problems.append(f"{where}: unknown action {rule.action!r}")
-        if rule.action in ("REPLY", "DELAY"):
-            check_code(rule.code, where)
-            check_text(rule.text, where)
-        if rule.action == "DELAY" and (not isinstance(rule.delay_ms, int) or rule.delay_ms < 0):
-            problems.append(f"{where}: DELAY needs a non-negative whole number of ms")
-        if rule.action == "MULTI":
-            check_code(rule.code, where)
-            if not rule.lines:
-                problems.append(f"{where}: MULTI needs at least one line")
-            for text in rule.lines:
-                check_text(text, where)
-                if "|" in text:
-                    problems.append(f"{where}: MULTI line must not contain '|'")
-    return problems
+def _check_text(text: str, where: str) -> None:
+    if any(ch in "\r\n" for ch in text):
+        raise ValueError(f"{where}: text must not contain line breaks")
 
 
 def render_reply(code: int, text: str) -> bytes:
@@ -147,9 +145,6 @@ class LabServer:
 
     def __init__(self, script: ServerScript, host: str = "127.0.0.1", port: int = 0,
                  idle_timeout: float = 60.0):
-        problems = validate_script(script)
-        if problems:
-            raise ValueError("invalid script: " + "; ".join(problems))
         self.script = script
         self.host = host
         self.port = port
@@ -161,9 +156,13 @@ class LabServer:
 
     def start(self) -> "LabServer":
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(16)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self.host, self.port))
+            listener.listen(16)
+        except OSError:
+            listener.close()
+            raise
         listener.settimeout(0.2)
         self._listener = listener
         self.port = listener.getsockname()[1]
@@ -256,7 +255,7 @@ def serve(script: ServerScript, port: int = 0, host: str = "127.0.0.1") -> LabSe
     return LabServer(script, host=host, port=port).start()
 
 
-# Script file grammar, one directive per line:
+# Script file grammar, ASCII only, one directive per line:
 #   name <label>
 #   greeting <code> <text>
 #   login USER=<code> PASS=<code>
@@ -296,20 +295,19 @@ def load_script(source: str) -> ServerScript:
         raise ParseError("script needs a 'name' line")
     if default is None:
         raise ParseError("script needs exactly one 'default' line")
-    script = ServerScript(
-        name=name,
-        greeting_code=greeting[0] if greeting else 220,
-        greeting_text=greeting[1] if greeting else "service ready",
-        user_code=login[0] if login else 331,
-        pass_code=login[1] if login else 230,
-        rules=tuple(rules),
-        default_code=default[0],
-        default_text=default[1],
-    )
-    problems = validate_script(script)
-    if problems:
-        raise ParseError("; ".join(problems))
-    return script
+    try:
+        return ServerScript(
+            name=name,
+            greeting_code=greeting[0] if greeting else 220,
+            greeting_text=greeting[1] if greeting else "service ready",
+            user_code=login[0] if login else 331,
+            pass_code=login[1] if login else 230,
+            rules=tuple(rules),
+            default_code=default[0],
+            default_text=default[1],
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def save_script(script: ServerScript) -> str:
@@ -336,8 +334,8 @@ def save_script(script: ServerScript) -> str:
 
 
 def load_script_file(path) -> ServerScript:
-    with open(path, "r", encoding="ascii") as fh:
-        return load_script(fh.read())
+    with open(path, "rb") as fh:
+        return load_script(decode_ascii(fh.read(), "lab script"))
 
 
 def _parse_code(token: str, line_no: int) -> int:
@@ -368,42 +366,28 @@ def _parse_rule(rest: str, line_no: int) -> Rule:
     parts = rest.split(" ", 2)
     if len(parts) != 3:
         raise ParseError("rule line must be 'rule <CMD|*> <predicate> <action>'", line_no)
-    command, pred_token, action_token = parts
-    if not _RULE_COMMAND_RE.match(command):
-        raise ParseError(f"bad rule command {command!r}", line_no)
+    command, predicate, action = parts
     length_gt = None
-    if pred_token.startswith("LEN_GT:"):
-        predicate = "LEN_GT"
-        try:
-            length_gt = int(pred_token[7:])
-        except ValueError:
-            raise ParseError(f"bad LEN_GT threshold in {pred_token!r}", line_no) from None
-        if length_gt < 0:
-            raise ParseError("LEN_GT threshold must be >= 0", line_no)
-    elif pred_token in ("ANY", "NONPRINT", "EMPTY"):
-        predicate = pred_token
-    else:
-        raise ParseError(f"unknown predicate {pred_token!r}", line_no)
-    if action_token == "DROP" or action_token == "SILENCE":
-        return Rule(command, predicate, action_token, length_gt=length_gt)
-    kind, _, payload = action_token.partition(":")
-    if kind == "REPLY":
-        code_token, _, text = payload.partition(":")
-        return Rule(command, predicate, "REPLY", length_gt=length_gt,
-                    code=_parse_code(code_token, line_no), text=text)
-    if kind == "MULTI":
-        code_token, _, body = payload.partition(":")
-        lines = tuple(body.split("|")) if body else ()
-        if not lines:
-            raise ParseError("MULTI needs at least one line", line_no)
-        return Rule(command, predicate, "MULTI", length_gt=length_gt,
-                    code=_parse_code(code_token, line_no), lines=lines)
+    if predicate.startswith("LEN_GT:"):
+        if not predicate[7:].isdigit():
+            raise ParseError(f"bad LEN_GT threshold in {predicate!r}", line_no)
+        predicate, length_gt = "LEN_GT", int(predicate[7:])
+    kind, _, payload = action.partition(":")
+    fields = {}
     if kind == "DELAY":
-        ms_token, _, reply = payload.partition(":")
+        ms_token, _, payload = payload.partition(":")
         if not ms_token.isdigit():
-            raise ParseError(f"bad DELAY milliseconds in {action_token!r}", line_no)
-        code_token, _, text = reply.partition(":")
-        return Rule(command, predicate, "DELAY", length_gt=length_gt,
-                    code=_parse_code(code_token, line_no), text=text,
-                    delay_ms=int(ms_token))
-    raise ParseError(f"unknown action {action_token!r}", line_no)
+            raise ParseError(f"bad DELAY milliseconds in {action!r}", line_no)
+        fields["delay_ms"] = int(ms_token)
+    if kind in ("REPLY", "MULTI", "DELAY"):
+        code_token, _, text = payload.partition(":")
+        fields["code"] = _parse_code(code_token, line_no)
+        if kind == "MULTI":
+            fields["lines"] = tuple(text.split("|")) if text else ()
+        else:
+            fields["text"] = text
+        action = kind
+    try:
+        return Rule(command, predicate, action, length_gt=length_gt, **fields)
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no) from None

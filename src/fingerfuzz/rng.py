@@ -38,4 +38,5 @@ class SplitMix64:
                 return value % bound
 
     def choice(self, seq):
+        """Uniform element of a non-empty sequence: one bounded draw."""
         return seq[self.below(len(seq))]

@@ -435,10 +435,15 @@ def test_optimize_identical_db_fails(tmp_path, tiny_fc, lab_factory, capsys):
 
 # --- lab -------------------------------------------------------------------------
 
-def test_lab_bad_script_exits_2(tmp_path):
+def test_lab_bad_script_exits_2(tmp_path, capsys):
     script = tmp_path / "bad.script"
-    script.write_text("name x\ndefault 999 zz\n")
-    assert main(["lab", "--script", str(script)]) == 2
+    for text, error in [
+        (b"name x\ndefault 999 zz\n", "line 2: code 999"),
+        (b"default 502 no\nname caf\xe9\n", "line 2: non-ASCII byte"),
+    ]:
+        script.write_bytes(text)
+        assert main(["lab", "--script", str(script)]) == 2
+        assert f"script error: {error}" in capsys.readouterr().err
 
 
 def test_lab_subprocess_serves(tmp_path):

@@ -69,27 +69,35 @@ def test_tampered_digest_is_rejected(four_record_collection):
 
 
 def test_bad_escape_reports_line_number(four_record_collection):
-    # replace the first body line (line 9) with a malformed escape, keeping
-    # the digest check from firing first by corrupting the escape itself
-    lines = serialize(four_record_collection).decode("ascii").splitlines()
-    lines[8] = "\\xzz"
-    with pytest.raises(ParseError) as err:
-        read_collection(io.BytesIO(("\n".join(lines) + "\n").encode()))
-    assert err.value.line_no == 9
+    cases = [
+        # the first body line, malformed before the digest check can fire
+        (9, b"\\xzz"),
+        # a raw byte that the escaping writes as \xe9, in the body and header
+        (9, b"caf\xe9"),
+        (2, b"#seed \xe9"),
+    ]
+    for line_no, text in cases:
+        lines = serialize(four_record_collection).split(b"\n")
+        lines[line_no - 1] = text
+        with pytest.raises(ParseError) as err:
+            read_collection(io.BytesIO(b"\n".join(lines)))
+        assert err.value.line_no == line_no
 
 
 def test_missing_header_is_rejected(four_record_collection):
     lines = serialize(four_record_collection).decode("ascii").splitlines()
     del lines[1]  # seed
-    with pytest.raises(ParseError, match="seed"):
+    with pytest.raises(ParseError, match="seed") as err:
         read_collection(io.BytesIO(("\n".join(lines) + "\n").encode()))
+    assert err.value.line_no == 7  # the digest line that closes the header
 
 
 def test_unknown_header_is_rejected(four_record_collection):
     lines = serialize(four_record_collection).decode("ascii").splitlines()
     lines.insert(1, "#surprise 1")
-    with pytest.raises(ParseError, match="surprise"):
+    with pytest.raises(ParseError, match="surprise") as err:
         read_collection(io.BytesIO(("\n".join(lines) + "\n").encode()))
+    assert err.value.line_no == 2
 
 
 def test_record_count_must_match_config(four_record_collection):

@@ -37,6 +37,14 @@ def test_four_record_example():
     assert mutant1.step == 1 and mutant1.bytes != base1.bytes
 
 
+def test_default_collection_is_pinned():
+    # the same collection on every machine is what makes fingerprints of
+    # different targets comparable; any change to generation shows here
+    col = build_collection(FuzzConfig())
+    assert len(col.records) == 4590
+    assert col.digest == "f93b0f162654ba94df6f620896a706a0a0e9f52f0911716abb107909c1cb303a"
+
+
 def test_zero_mutations_gives_bases_only():
     cfg = small_config(commands=("NOOP", "SYST"), max_arg_len=2, mutations=0)
     col = build_collection(cfg)

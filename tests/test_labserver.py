@@ -15,7 +15,6 @@ from fingerfuzz.labserver import (
     render_reply,
     save_script,
     serve,
-    validate_script,
 )
 
 from conftest import constant_script
@@ -89,9 +88,9 @@ def test_parse_error_carries_line_number():
 
 
 def test_validate_reports_out_of_range_codes():
-    script = ServerScript(name="bad", greeting_code=99)
-    assert any("99" in problem for problem in validate_script(script))
-    assert validate_script(constant_script()) == []
+    with pytest.raises(ValueError, match="99"):
+        ServerScript(name="bad", greeting_code=99)
+    constant_script()  # a valid script constructs without error
 
 
 def test_delay_rule_grammar():
@@ -100,9 +99,8 @@ def test_delay_rule_grammar():
                                    text="UNIX: late", delay_ms=150)
     assert load_script(save_script(script)) == script
     assert apply_rules(script, b"SYST") == ("DELAY", b"215 UNIX: late\r\n")
-    negative = ServerScript(name="n", rules=(Rule("SYST", "ANY", "DELAY", code=215,
-                                                  delay_ms=-1),))
-    assert any("DELAY" in problem for problem in validate_script(negative))
+    with pytest.raises(ValueError, match="DELAY"):
+        Rule("SYST", "ANY", "DELAY", code=215, delay_ms=-1)
 
 
 # --- rule evaluation ----------------------------------------------------------

@@ -421,12 +421,21 @@ def test_fingerprint_save_load(tmp_path):
         lambda t: t.replace("#login 331,230", "#login 331,230,230"),
         lambda t: t.replace("500", "5000"),
         lambda t: t.replace("#collection " + "ab" * 32, "#collection abcd"),
+        lambda t: t.replace("TMO", "T\u00e9O"),
+        lambda t: t.replace("#target", "#surprise 1\n#target"),
+        lambda t: t.replace("#created", "#label again\n#created"),
+        # the header closes with #login; the tool never writes a header after it
+        lambda t: t.replace("#greeting 220\n#login 331,230\n", "#login 331,230\n#greeting 220\n"),
     ],
 )
 def test_fingerprint_parse_errors(mangle):
     text = serialize(sample_fingerprint()).decode("ascii")
-    with pytest.raises(ParseError):
-        read_fingerprint(io.BytesIO(mangle(text).encode("ascii")))
+    mangled = mangle(text)
+    with pytest.raises(ParseError) as err:
+        read_fingerprint(io.BytesIO(mangled.encode("latin-1")))
+    # every error names the first line the mangling changed
+    changed = [a != b for a, b in zip(text.splitlines(), mangled.splitlines())]
+    assert err.value.line_no == changed.index(True) + 1
 
 
 def test_version_1_files_load_but_never_mix_with_version_2(tmp_path):
