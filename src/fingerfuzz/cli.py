@@ -90,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="seconds each session waits between requests")
     scan.add_argument("--sessions", type=_positive_int, default=wire.DEFAULT_SESSIONS,
                       help="command blocks scanned at the same time, each on its "
-                           f"own connection (1..{wire.MAX_SESSIONS}); lower it for "
-                           "servers that limit connections per address")
+                           f"own connection (1..{wire.MAX_SESSIONS}); fewer are used "
+                           "while the server refuses more connections")
     scan.add_argument("--timeout", type=_positive_float, default=5.0,
                       help="seconds to wait for each reply")
     scan.add_argument("--drain-window", type=_positive_float, default=0.2,

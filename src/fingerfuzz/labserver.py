@@ -269,7 +269,9 @@ def load_script(source: str) -> ServerScript:
     login = None
     default = None
     rules: list[Rule] = []
-    for line_no, raw in enumerate(source.splitlines(), start=1):
+    # LF only: str.splitlines would also break at form feeds and other
+    # separators a reply text may hold; strip() takes the CR of CRLF
+    for line_no, raw in enumerate(source.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

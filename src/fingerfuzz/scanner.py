@@ -1,26 +1,31 @@
 """Runs a request collection against one target and records the reply vector.
 
 The resulting fingerprint holds one observation per collection record, in
-order.  The scan is cut into segments of one command block each (the
-per-command length of the collection's config; a reduced collection is cut
-into runs of the same length), so the segments depend only on the `.fc`
-file.  Every segment runs on its own connection and login, so state left by
-fuzzed USER, PASS or REIN requests does not leak into the next block, and
-up to `TargetSpec.sessions` segments run at the same time.  The first login
-is made before any other connection: a refused login opens no second one.
+order.  The scan is cut into runs: index ranges whose first request goes
+out on a fresh login.  The queue of runs starts with the segments of one
+command block each (the per-command length of the collection's config; a
+reduced collection is cut into runs of the same length), so the
+fingerprint depends only on the `.fc` file, and state left by fuzzed USER,
+PASS or REIN requests does not leak into the next block.  Up to
+`TargetSpec.sessions` sessions take runs from the queue.  The first login is made before any
+other connection: a refused login opens no second one.
 
-Within a segment, a dropped connection is itself recorded as an
-observation; the scanner then reconnects and logs in again so that later
+Within a run, a dropped connection is itself recorded as an observation;
+the rest of the run then goes out on a fresh login, so that later
 positions stay aligned with their requests.  A timeout is handled the same
 way, because a reply that arrives late would otherwise be read as the
-answer to the next request.
+answer to the next request.  When the target refuses a fresh session
+while other sessions still work (servers cap connections per address), the
+refused one hands its unsent rest back to the queue and retires, so the
+pool shrinks to what the target admits and no request is sent twice.
 """
 
 from __future__ import annotations
 
 import io
+import logging
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import BinaryIO
@@ -37,6 +42,8 @@ from .errors import (
 from .fileio import atomic_write, decode_ascii, format_header, parse_header
 from .fuzzgen import FuzzCollection, RequestRecord
 from .wire import FtpSession, ReplyObservation, TargetSpec
+
+log = logging.getLogger("fingerfuzz.scanner")
 
 # Version 2: segmented sessions, and a reconnect after every timeout.
 # Version 1 files (one session in scan order) are still read, so a database
@@ -79,108 +86,182 @@ def fingerprint_target(
     interest answer with one uniform error code and cannot be told apart.
     `delay` is the pause after each request of one session.
     """
-    session = wire.connect(target)
-    try:
-        user_reply, pass_reply = session.login()
-    except LoginError as exc:
-        session.close()
-        raise ScanRefusedError(
-            f"{target.descriptor} refused login ({exc}); "
-            "unauthenticated servers are indistinguishable",
-            exc.user_reply,
-            exc.pass_reply,
-        ) from exc
-    greeting = session.greeting
-    login_obs = (user_reply,) + ((pass_reply,) if pass_reply is not None else ())
-
+    session, login_obs = _open(target)
     step = segment_length(collection)
-    records = collection.records
-    stop = threading.Event()
-    pool = ThreadPoolExecutor(target.sessions, thread_name_prefix="fingerfuzz-scan")
+    count = len(collection.records)
     try:
-        futures = [
-            pool.submit(_scan_segment, target, records[start:start + step], delay,
-                        stop, session if start == 0 else None)
-            for start in range(0, len(records), step)
-        ]
-        done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-        for future in futures:
-            if future in done and future.exception() is not None:
-                raise future.exception()
-        observations = tuple(obs for future in futures for obs in future.result())
+        observations = _SessionPool(
+            target, collection.records, delay, session,
+            [(start, min(start + step, count)) for start in range(0, count, step)],
+        ).scan()
     finally:
-        stop.set()
-        pool.shutdown(cancel_futures=True)
         session.close()
-
     return Fingerprint(
         collection_digest=collection.digest,
         target=target.descriptor,
         observations=observations,
         label=label,
-        greeting=greeting,
+        greeting=session.greeting,
         login=login_obs,
     )
 
 
-def _scan_segment(
-    target: TargetSpec,
-    records: tuple[RequestRecord, ...],
-    delay: float,
-    stop: threading.Event,
-    session: FtpSession | None,
-) -> list[ReplyObservation] | None:
-    """One segment on the given session, or on a fresh login if None.
+def _open(target: TargetSpec) -> tuple[FtpSession, tuple[ReplyObservation, ...]]:
+    """A logged-in session and its login replies.
 
-    Returns None, unfinished, once `stop` is set.  A failure sets `stop`
-    itself, so that no other segment sends another request or connects.
+    Raises ScanRefusedError when the greeting turns the connection away
+    (a 4xx or 5xx code, or the connection closed) or the login is rejected.
     """
-    observations: list[ReplyObservation] = []
+    session = wire.connect(target)
     try:
-        for record in records:
-            attempts_left = RECONNECT_ATTEMPTS
-            while True:
-                if stop.is_set():
-                    return None
-                if session is None or not session.alive:
-                    session = _reconnect(target)
-                try:
-                    obs = session.exchange(record.bytes)
-                    break
-                except TransportError as exc:
-                    session.close()
-                    attempts_left -= 1
-                    if attempts_left <= 0:
-                        raise PartialScanError(
-                            f"transport failure at request {record.index}: {exc}"
-                        ) from exc
-            if obs.kind == wire.TIMEOUT:
-                session.close()  # a late reply must not answer the next request
-            observations.append(obs)
-            if delay > 0:
-                stop.wait(delay)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        if session is not None:
-            session.close()
-    return observations
-
-
-def _reconnect(target: TargetSpec) -> FtpSession:
-    last_error: Exception | None = None
-    for _ in range(RECONNECT_ATTEMPTS):
+        greeting = session.greeting
+        if not session.alive or (greeting.kind == wire.CODE and greeting.code >= 400):
+            raise ScanRefusedError(
+                f"{target.descriptor} refused the connection (greeting {greeting.token()})"
+            )
         try:
-            session = wire.connect(target)
-            session.login()
-            return session
-        except (ConnectError, LoginError, TransportError) as exc:
-            last_error = exc
-    raise PartialScanError(
-        f"reconnect to {target.descriptor} failed {RECONNECT_ATTEMPTS} times: "
-        f"{last_error}"
-    )
+            user_reply, pass_reply = session.login()
+        except LoginError as exc:
+            raise ScanRefusedError(
+                f"{target.descriptor} refused login ({exc}); "
+                "unauthenticated servers are indistinguishable",
+                exc.user_reply,
+                exc.pass_reply,
+            ) from exc
+    except BaseException:
+        session.close()
+        raise
+    return session, (user_reply,) + ((pass_reply,) if pass_reply is not None else ())
+
+
+class _SessionPool:
+    """Workers that scan runs from one queue into one observation vector.
+
+    A worker leaves only when the queue is empty and no worker holds a
+    run, or once the scan is halted: a run held elsewhere may still be
+    handed back.
+    """
+
+    def __init__(self, target: TargetSpec, records: tuple[RequestRecord, ...],
+                 delay: float, session: FtpSession, runs: list[tuple[int, int]]):
+        self.target = target
+        self.records = records
+        self.delay = delay
+        self.observations: list[ReplyObservation | None] = [None] * len(records)
+        self._spare: FtpSession | None = session  # logged in; serves the first run taken
+        self._runs = deque(runs)
+        self._held = 0  # runs a worker is scanning
+        self._live = 0  # workers not retired
+        self._changed = threading.Condition()
+        self._halt = threading.Event()
+        self._error: BaseException | None = None
+
+    def scan(self) -> tuple[ReplyObservation, ...]:
+        """Run the workers to the end; raise the first failure of any."""
+        workers = [threading.Thread(target=self._work, name=f"fingerfuzz-scan-{n}")
+                   for n in range(min(self.target.sessions, len(self._runs)))]
+        self._live = len(workers)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            self._stop()  # also on Ctrl-C: no worker outlives the scan
+            for worker in workers:
+                if worker.ident is not None:
+                    worker.join()
+        if self._error is not None:
+            raise self._error
+        return tuple(self.observations)
+
+    def _stop(self) -> None:
+        self._halt.set()
+        with self._changed:
+            self._changed.notify_all()
+
+    def _work(self) -> None:
+        try:
+            while (taken := self._take()) is not None and self._scan_run(*taken):
+                pass
+        except BaseException as exc:  # raised on the calling thread by scan()
+            with self._changed:
+                if self._error is None:
+                    self._error = exc
+            self._stop()
+
+    def _take(self) -> tuple[FtpSession | None, int, int] | None:
+        """The next run and the session to start it on (None: log in first)."""
+        with self._changed:
+            while not self._runs and self._held and not self._halt.is_set():
+                self._changed.wait()
+            if self._halt.is_set() or not self._runs:
+                return None
+            self._held += 1
+            session, self._spare = self._spare, None
+            return (session, *self._runs.popleft())
+
+    def _scan_run(self, session: FtpSession | None, start: int, end: int) -> bool:
+        """Scan records[start:end]; False once this worker has to leave."""
+        records = self.records
+        try:
+            for index in range(start, end):
+                attempts_left = RECONNECT_ATTEMPTS
+                while True:
+                    if self._halt.is_set():
+                        return False
+                    if session is None or not session.alive:
+                        session = self._fresh_session(index, end)
+                        if session is None:
+                            return False
+                    try:
+                        obs = session.exchange(records[index].bytes)
+                        break
+                    except TransportError as exc:
+                        session.close()
+                        attempts_left -= 1
+                        if attempts_left <= 0:
+                            raise PartialScanError(
+                                f"transport failure at request {records[index].index}: {exc}"
+                            ) from exc
+                if obs.kind == wire.TIMEOUT:
+                    session.close()  # a late reply must not answer the next request
+                self.observations[index] = obs
+                if self.delay > 0:
+                    self._halt.wait(self.delay)
+        finally:
+            if session is not None:
+                session.close()
+        with self._changed:
+            self._held -= 1
+            self._changed.notify_all()
+        return True
+
+    def _fresh_session(self, index: int, end: int) -> FtpSession | None:
+        """A logged-in session for records[index:end], or None once the
+        scan halts or this worker handed them back and retired.  Only the
+        last worker retries a refused session."""
+        for _ in range(RECONNECT_ATTEMPTS):
+            try:
+                return _open(self.target)[0]
+            except (ConnectError, ScanRefusedError, TransportError) as exc:
+                last_error = exc
+            with self._changed:
+                if self._live > 1:
+                    self._live -= 1
+                    self._held -= 1
+                    self._runs.append((index, end))
+                    self._changed.notify_all()
+                    # under the lock, so the counts are logged in order
+                    log.warning("%s refused a new session; scanning on with %d: %s",
+                                self.target.descriptor, self._live, last_error)
+                    return None
+            if self._halt.is_set():
+                return None
+        raise PartialScanError(
+            f"reconnect to {self.target.descriptor} failed {RECONNECT_ATTEMPTS} times: "
+            f"{last_error}"
+        )
 
 
 def _format_created(stamp: datetime) -> str:

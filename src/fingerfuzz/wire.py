@@ -27,14 +27,15 @@ GARBLED = "GARBLED"
 _TOKENS = {TIMEOUT: "TMO", DROPPED: "DRP", GARBLED: "GBL"}
 _KIND_BY_TOKEN = {"TMO": TIMEOUT, "DRP": DROPPED, "GBL": GARBLED}
 
-# Concurrent sessions of one scan.  The cap is above the 27 segments of the
+# Concurrent sessions of one scan, at most: a target that refuses a
+# connection shrinks the pool.  The cap is above the 27 segments of the
 # default collection and keeps a typo from opening hundreds of connections.
-# The default is 2.  More sessions finish sooner (default collection, lab
-# target, 2-core host: about 6 s at 2, 3.1 s at 4, 1.9 s at 8), but on a
-# loaded host the scan time varies from run to run by a share that does not
-# shrink with the speed-up; 2 is the most whose spread in requests per
-# second stayed within the benchmark's bound (ROADMAP item 3).
-DEFAULT_SESSIONS = 2
+# More sessions finish sooner (default collection, lab target, 2-core host:
+# about 6 s at 2, 3 s at 4, 1.9 s at 8), but on a loaded host the scan time
+# varies from run to run by a share that does not shrink with the speed-up;
+# 4 is the most whose spread in requests per second stayed within the
+# benchmark's bound (ROADMAP item 3).
+DEFAULT_SESSIONS = 4
 MAX_SESSIONS = 32
 
 # A reply larger than this can no longer be an RFC-959 status line we care

@@ -153,6 +153,19 @@ def test_scan_login_refused_explains(tmp_path, tiny_fc, lab_factory, capsys):
     assert "indistinguishable" in capsys.readouterr().err
 
 
+def test_scan_refused_connection_explains(tmp_path, tiny_fc, lab_factory, capsys):
+    server = lab_factory(ServerScript(name="full", greeting_code=421,
+                                      greeting_text="too many connections"))
+    code = main(["scan", "--collection", str(tiny_fc), "--host", "127.0.0.1",
+                 "--port", str(server.port), *FAST_SCAN,
+                 "-o", str(tmp_path / "x.fp")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: 127.0.0.1:{server.port} refused the connection (greeting 421)\n")
+    assert server.connections == 1
+    assert not (tmp_path / "x.fp").exists()
+
+
 def test_scan_requires_collection_flag(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["scan", "--host", "x", "-o", str(tmp_path / "x.fp")])

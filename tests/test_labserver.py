@@ -87,6 +87,14 @@ def test_parse_error_carries_line_number():
     assert err.value.line_no == 2
 
 
+def test_lines_break_at_line_feeds_only():
+    # str.splitlines also breaks at form feed, so this split into three lines
+    assert load_script("name a\ndefault 502 x\x0cy\n").default_text == "x\x0cy"
+    with pytest.raises(ParseError) as err:
+        load_script("name a\ndefault 502 x\x0cy\x1cz\nwat 1\n")
+    assert err.value.line_no == 3
+
+
 def test_validate_reports_out_of_range_codes():
     with pytest.raises(ValueError, match="99"):
         ServerScript(name="bad", greeting_code=99)

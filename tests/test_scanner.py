@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import io
+import logging
 import selectors
 import socket
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -22,7 +24,14 @@ from fingerfuzz.scanner import (
     segment_length,
     write_fingerprint,
 )
-from fingerfuzz.wire import DROPPED, GARBLED, TIMEOUT, ReplyObservation, of_code
+from fingerfuzz.wire import (
+    DEFAULT_SESSIONS,
+    DROPPED,
+    GARBLED,
+    TIMEOUT,
+    ReplyObservation,
+    of_code,
+)
 
 from conftest import constant_script, fast_target
 
@@ -192,11 +201,17 @@ class Responder:
     """A one-thread FTP responder on raw sockets.  After the login on a
     connection, `answer(n, line)` gives the reply to the n-th request (from
     0) on that connection, or None to drop the connection.  Every accepted
-    connection is closed at once while `dead` is set."""
+    connection is closed at once while `dead` is set.  Like a server that
+    caps connections per address, it greets a connection beyond `limit`
+    open ones, or one of the next `refusals`, with 421 and closes it.
+    `requests` holds every request line received after a login."""
 
-    def __init__(self, answer):
+    def __init__(self, answer, limit=None):
         self.answer = answer
+        self.limit = limit
+        self.refusals = 0
         self.connections = 0
+        self.requests = []
         self.dead = False
         self._listener = socket.create_server(("127.0.0.1", 0), backlog=64)
         self.port = self._listener.getsockname()[1]
@@ -223,6 +238,12 @@ class Responder:
         if self.dead:
             conn.close()
             return
+        already_open = len(self._selector.get_map()) - 1
+        if self.refusals or (self.limit is not None and already_open >= self.limit):
+            self.refusals = max(0, self.refusals - 1)
+            conn.sendall(b"421 too many connections\r\n")
+            conn.close()
+            return
         conn.sendall(b"220 hi\r\n")
         self._selector.register(conn, selectors.EVENT_READ, {"buffer": b"", "count": -2})
 
@@ -239,7 +260,8 @@ class Responder:
                 elif count < 0:  # USER, then PASS
                     reply = b"331 user ok" if count == -2 else b"230 logged in"
                 else:
-                    reply = self.answer(count, line.rstrip(b"\r"))
+                    self.requests.append(line.rstrip(b"\r"))
+                    reply = self.answer(count, self.requests[-1])
                 if reply is None:
                     chunk = b""
                     break
@@ -260,8 +282,8 @@ class Responder:
 def responder_factory():
     responders = []
 
-    def start(answer):
-        responders.append(Responder(answer))
+    def start(answer, limit=None):
+        responders.append(Responder(answer, limit))
         return responders[-1]
 
     yield start
@@ -346,6 +368,114 @@ def test_target_death_stops_the_scan(responder_factory):
     # only the running segments try to reconnect; none of the ten waiting starts
     assert len(connections_at_death) == 1
     assert responder.connections - connections_at_death[0] <= sessions * RECONNECT_ATTEMPTS
+
+
+# --- targets that cap connections per address ------------------------------------
+
+def shrinks(caplog, port) -> list[int]:
+    """The sessions left after each shrink the pool logged."""
+    lefts = []
+    for record in caplog.records:
+        assert record.name == "fingerfuzz.scanner" and record.levelname == "WARNING"
+        assert record.getMessage().startswith(f"127.0.0.1:{port} refused a new session")
+        lefts.append(int(record.getMessage().split("scanning on with ")[1].split(":")[0]))
+    assert lefts == sorted(lefts, reverse=True)
+    return lefts
+
+
+def sent_once(responder, collection) -> bool:
+    return Counter(responder.requests) == Counter(r.bytes for r in collection.records)
+
+
+@pytest.mark.parametrize("sessions,limit", [(DEFAULT_SESSIONS, 1), (4, 3)])
+def test_capped_target_shrinks_the_pool(responder_factory, caplog, sessions, limit):
+    collection = tiny_collection(commands=DEFAULT_COMMANDS[:9], max_arg_len=1, mutations=1)
+    step = segment_length(collection)
+    uncapped = responder_factory(count_reply)
+    reference = fingerprint_target(collection, fast_target(uncapped.port, sessions=1))
+    capped = responder_factory(count_reply, limit=limit)
+    threads_before = threading.active_count()
+    with caplog.at_level(logging.WARNING, logger="fingerfuzz.scanner"):
+        fp = fingerprint_target(collection, fast_target(capped.port, sessions=sessions))
+    assert threading.active_count() == threads_before
+    assert fp.observations == tuple(of_code(200 + i % step)
+                                    for i in range(len(collection.records)))
+    assert body_of(fp) == body_of(reference)
+    assert sent_once(capped, collection)
+    lefts = shrinks(caplog, capped.port)
+    assert lefts and lefts[-1] <= limit
+
+
+def test_refused_reconnect_after_a_drop_hands_the_rest_back(responder_factory, caplog):
+    collection = tiny_collection(commands=("NOOP", "SYST"), max_arg_len=3, mutations=1)
+    step = segment_length(collection)
+
+    def drops_third_syst(n, line):
+        if line.startswith(b"SYST") and n == 2:
+            responder.refusals = 1  # the reconnect that follows
+            return None
+        return b"200 ok"
+
+    responder = responder_factory(drops_third_syst)
+    with caplog.at_level(logging.WARNING, logger="fingerfuzz.scanner"):
+        fp = fingerprint_target(collection, fast_target(responder.port, sessions=2))
+    expected = [of_code(200)] * len(collection.records)
+    expected[step + 2] = ReplyObservation(DROPPED)
+    assert fp.observations == tuple(expected)
+    assert sent_once(responder, collection)
+    assert shrinks(caplog, responder.port) == [1]
+    # two logins, the run left over after the drop, and the refused attempt
+    assert responder.connections == 4
+
+
+def test_refusal_on_the_last_queued_run(responder_factory, caplog):
+    # the other session has seen the queue empty and waits while the run is
+    # held; it must still take the handed-back rest instead of leaving
+    collection = tiny_collection(commands=("NOOP", "SYST", "HELP"), max_arg_len=3,
+                                 mutations=1)
+    step = segment_length(collection)
+    last = collection.records[-1].command.encode()
+
+    def drops_late_in_last_run(n, line):
+        if line.startswith(last) and n == step - 2:
+            responder.refusals = 1
+            return None
+        return b"200 ok"
+
+    responder = responder_factory(drops_late_in_last_run)
+    with caplog.at_level(logging.WARNING, logger="fingerfuzz.scanner"):
+        fp = fingerprint_target(collection, fast_target(responder.port, sessions=2))
+    expected = [of_code(200)] * len(collection.records)
+    expected[-2] = ReplyObservation(DROPPED)
+    assert fp.observations == tuple(expected)
+    assert sent_once(responder, collection)
+    assert shrinks(caplog, responder.port) == [1]
+
+
+def test_many_sessions_against_a_cap_under_fast_thread_switching(responder_factory,
+                                                                   caplog):
+    collection = tiny_collection(commands=DEFAULT_COMMANDS, max_arg_len=1, mutations=2)
+    step = segment_length(collection)
+    responder = responder_factory(count_reply, limit=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with caplog.at_level(logging.WARNING, logger="fingerfuzz.scanner"):
+            fp = fingerprint_target(collection, fast_target(responder.port, sessions=32))
+    finally:
+        sys.setswitchinterval(interval)
+    assert fp.observations == tuple(
+        of_code(200 + i % step) for i in range(len(collection.records)))
+    assert sent_once(responder, collection)
+    assert shrinks(caplog, responder.port)[-1] <= 3
+
+
+def test_refused_first_connection_names_target_and_greeting(responder_factory):
+    responder = responder_factory(count_reply, limit=0)
+    with pytest.raises(ScanRefusedError) as err:
+        fingerprint_target(tiny_collection(), fast_target(responder.port))
+    assert str(err.value) == f"127.0.0.1:{responder.port} refused the connection (greeting 421)"
+    assert responder.connections == 1
 
 
 # --- fingerprint files -----------------------------------------------------------

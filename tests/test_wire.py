@@ -158,7 +158,7 @@ def test_target_defaults():
     assert target.reply_timeout == 5.0
     assert target.drain_window == 0.2
     assert target.connect_timeout == 10.0
-    assert target.sessions == 2
+    assert target.sessions == 4
     assert target.descriptor == "ftp.example.org:21"
 
 
