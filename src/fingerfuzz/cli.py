@@ -181,7 +181,7 @@ def cmd_generate(args) -> int:
 
 
 def _histogram(observations) -> str:
-    counts = Counter(obs.token() for obs in observations)
+    counts = Counter(observations)
     parts = [f"{token}x{count}" for token, count in sorted(counts.items())]
     return " ".join(parts)
 

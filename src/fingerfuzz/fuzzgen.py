@@ -35,6 +35,7 @@ DEFAULT_SEED = 1
 _COMMAND_RE = re.compile(r"^[A-Z]{3,8}$")
 _LINE_BREAKS = frozenset({0x0D, 0x0A})
 _DEFAULT_ALPHABET = frozenset(range(256)) - _LINE_BREAKS
+_LOWER_HEX = frozenset("0123456789abcdef")
 
 FC_VERSION = 1
 
@@ -127,6 +128,7 @@ def mutate(message: bytes, rng: SplitMix64, alphabet: Iterable[int] = _DEFAULT_A
     The operator is chosen uniformly among the applicable ones (change and
     delete need a non-empty message).  A change never reproduces the
     original byte, so every call returns a message different from its input.
+    A tuple alphabet is used in its own order and must not repeat a byte.
     """
     letters = tuple(sorted(alphabet)) if not isinstance(alphabet, tuple) else alphabet
     if len(message) == 0:
@@ -139,9 +141,13 @@ def mutate(message: bytes, rng: SplitMix64, alphabet: Iterable[int] = _DEFAULT_A
         return message[:pos] + bytes([byte]) + message[pos:]
     if op == "change":
         pos = rng.below(len(message))
-        original = message[pos]
-        pool = [b for b in letters if b != original]
-        byte = rng.choice(pool)
+        try:
+            skip = letters.index(message[pos])
+        except ValueError:  # a byte outside the alphabet, such as a command letter
+            byte = rng.choice(letters)
+        else:  # a uniform draw from the alphabet without the original byte
+            drawn = rng.below(len(letters) - 1)
+            byte = letters[drawn + (drawn >= skip)]
         return message[:pos] + bytes([byte]) + message[pos + 1:]
     pos = rng.below(len(message))
     return message[:pos] + message[pos + 1:]
@@ -177,15 +183,15 @@ def build_collection(config: FuzzConfig) -> FuzzCollection:
                         RequestRecord(index, current, command, arg_len, instance, step)
                     )
                     index += 1
-    digest = body_digest(r.bytes for r in records)
+    digest = body_digest(escape_line(r.bytes) for r in records)
     return FuzzCollection(tuple(records), config, digest)
 
 
-def body_digest(requests: Iterable[bytes]) -> str:
+def body_digest(lines: Iterable[str]) -> str:
     """SHA-256 over the escaped body lines, each LF-terminated."""
     h = hashlib.sha256()
-    for request in requests:
-        h.update(escape_line(request).encode("ascii"))
+    for line in lines:
+        h.update(line.encode("ascii"))
         h.update(b"\n")
     return h.hexdigest()
 
@@ -204,6 +210,9 @@ def escape_line(data: bytes) -> str:
 
 
 def unescape_line(line: str) -> bytes:
+    """The bytes of an escaped line.  Only the escapes escape_line writes are
+    accepted, so every line has one spelling and the digest can be taken over
+    the lines as read."""
     out = bytearray()
     i = 0
     n = len(line)
@@ -227,10 +236,11 @@ def unescape_line(line: str) -> bytes:
         if i + 3 >= n:
             raise ParseError("truncated \\x escape")
         hexpair = line[i + 2 : i + 4]
-        try:
-            value = int(hexpair, 16)
-        except ValueError:
-            raise ParseError(f"bad hex digits {hexpair!r} in \\x escape") from None
+        if not _LOWER_HEX.issuperset(hexpair):  # int() also takes a sign, spaces, capitals
+            raise ParseError(f"bad hex digits {hexpair!r} in \\x escape")
+        value = int(hexpair, 16)
+        if 0x20 <= value <= 0x7E:
+            raise ParseError(f"printable byte escaped as '\\x{hexpair}'")
         out.append(value)
         i += 4
     return bytes(out)
@@ -311,7 +321,7 @@ def read_collection(source: BinaryIO) -> FuzzCollection:
     config.validate()
 
     stored = headers["digest"]
-    actual = body_digest(body)
+    actual = body_digest(lines[start:])
     if stored != actual:
         raise IntegrityError(f"digest mismatch: header {stored}, body {actual}")
 

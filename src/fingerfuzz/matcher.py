@@ -3,9 +3,9 @@
 Two fingerprints are comparable only when they were taken with the same
 request collection (equal digests and vector lengths) and the same scan
 method (equal fp-versions; checked when a database is built and by the
-`match` command).  Agreement is exact token equality per position; fault
-sentinels count like codes, since the absence of a status code is itself a
-distinguishing signal.
+`match` command).  An observation is its token (`"200"`, `"TMO"`, ...), and
+agreement is exact token equality per position; fault sentinels count like
+codes, since the absence of a status code is itself a distinguishing signal.
 
 Agreement is counted on bitset planes.  A table gives every distinct token
 an id, and a fingerprint becomes one integer per distinct token, with bit
@@ -27,7 +27,6 @@ from pathlib import Path
 
 from .errors import DatabaseError, IncomparableError
 from .scanner import Fingerprint, load_fingerprint
-from .wire import ReplyObservation
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,10 @@ def match_pair(a: Fingerprint, b: Fingerprint) -> MatchResult:
 
 
 class _TokenIds(dict):
-    """Observation -> one-character token id, handed out on first sight."""
+    """Observation token -> one-character token id, handed out on first sight."""
 
-    def __missing__(self, obs: ReplyObservation) -> str:
-        self[obs] = token_id = chr(len(self))
+    def __missing__(self, token: str) -> str:
+        self[token] = token_id = chr(len(self))
         return token_id
 
     def encode(self, fp: Fingerprint) -> str:

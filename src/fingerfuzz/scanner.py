@@ -63,7 +63,7 @@ class Fingerprint:
     created_at: datetime = field(
         default_factory=lambda: datetime.now(timezone.utc).replace(microsecond=0)
     )
-    greeting: ReplyObservation = wire.GARBLED_OBS
+    greeting: ReplyObservation = wire.GBL
     login: tuple[ReplyObservation, ...] = ()
     fp_version: int = FP_VERSION
 
@@ -115,9 +115,9 @@ def _open(target: TargetSpec) -> tuple[FtpSession, tuple[ReplyObservation, ...]]
     session = wire.connect(target)
     try:
         greeting = session.greeting
-        if not session.alive or (greeting.kind == wire.CODE and greeting.code >= 400):
+        if not session.alive or greeting[0] in "45":  # a 4xx or 5xx code
             raise ScanRefusedError(
-                f"{target.descriptor} refused the connection (greeting {greeting.token()})"
+                f"{target.descriptor} refused the connection (greeting {greeting})"
             )
         try:
             user_reply, pass_reply = session.login()
@@ -224,7 +224,7 @@ class _SessionPool:
                             raise PartialScanError(
                                 f"transport failure at request {records[index].index}: {exc}"
                             ) from exc
-                if obs.kind == wire.TIMEOUT:
+                if obs == wire.TMO:
                     session.close()  # a late reply must not answer the next request
                 self.observations[index] = obs
                 if self.delay > 0:
@@ -319,6 +319,8 @@ def write_fingerprint(fp: Fingerprint, sink: BinaryIO) -> None:
         raise ValueError("fingerprint needs one or two login observations")
     if not fp.observations:
         raise ValueError("fingerprint has no observations")
+    if not wire.BY_TOKEN.keys() >= {fp.greeting, *fp.login, *fp.observations}:
+        raise ValueError("fingerprint holds a string that is no observation token")
     if fp.fp_version not in READABLE_FP_VERSIONS:
         raise ValueError(f"unknown fp-version {fp.fp_version}")
     sink.write(format_header([
@@ -327,31 +329,33 @@ def write_fingerprint(fp: Fingerprint, sink: BinaryIO) -> None:
         ("target", fp.target),
         ("label", fp.label),
         ("created", _format_created(fp.created_at)),
-        ("greeting", fp.greeting.token()),
-        ("login", ",".join(obs.token() for obs in fp.login)),
+        ("greeting", fp.greeting),
+        ("login", ",".join(fp.login)),
     ]))
-    sink.write(("\n".join([obs.token() for obs in fp.observations]) + "\n").encode("ascii"))
+    sink.write(("\n".join(fp.observations) + "\n").encode("ascii"))
 
 
 def read_fingerprint(source: BinaryIO) -> Fingerprint:
-    """Parse a fingerprint file; its header closes with the `#login` line."""
+    """Parse a fingerprint file; its header closes with the `#login` line, and
+    every body line is one observation token."""
     lines = decode_ascii(source.read(), "fingerprint file").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the file's terminating LF, not a blank line
     headers, start = parse_header(lines, _FP_HEADER, "login", optional=("label",))
-    tokens: list[ReplyObservation] = []
-    append = tokens.append  # local names: a third of the loop's time
-    from_token = ReplyObservation.from_token
+    body = lines[start:]
     try:
-        for line_no, line in enumerate(lines[start:], start=start + 1):
-            if line:
-                append(from_token(line))
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no) from None
-    if not tokens:
+        observations = tuple(map(wire.BY_TOKEN.__getitem__, body))
+    except KeyError:
+        line_no, bad = next((n, line) for n, line in enumerate(body, start + 1)
+                            if line not in wire.BY_TOKEN)
+        raise ParseError(f"bad observation token {bad!r}" if bad else "blank line",
+                         line_no) from None
+    if not observations:
         raise ParseError("fingerprint has no observations")
     return Fingerprint(
         collection_digest=headers["collection"],
         target=headers["target"],
-        observations=tuple(tokens),
+        observations=observations,
         label=headers.get("label"),
         created_at=headers["created"],
         greeting=headers["greeting"],

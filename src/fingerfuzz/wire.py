@@ -1,10 +1,10 @@
 """FTP control-connection client primitives.
 
 A session owns one TCP connection and exchanges single-line requests for
-replies.  Every exchange yields exactly one observation: a 3-digit status
-code, or one of three fault sentinels (timeout, connection dropped,
-garbled data), so a scan always stays positionally aligned with the
-request collection.
+replies.  Every exchange yields exactly one observation, which is its
+three-character token: a status code "100".."599", or one of three fault
+sentinels, TMO (timeout), DRP (connection dropped) or GBL (garbled data),
+so a scan always stays positionally aligned with the request collection.
 """
 
 from __future__ import annotations
@@ -18,14 +18,6 @@ from .errors import ConnectError, LoginError, TransportError
 DEFAULT_PORT = 21
 ANONYMOUS_USER = "anonymous"
 ANONYMOUS_PASSWORD = "guest@example.com"
-
-CODE = "CODE"
-TIMEOUT = "TIMEOUT"
-DROPPED = "DROPPED"
-GARBLED = "GARBLED"
-
-_TOKENS = {TIMEOUT: "TMO", DROPPED: "DRP", GARBLED: "GBL"}
-_KIND_BY_TOKEN = {"TMO": TIMEOUT, "DRP": DROPPED, "GBL": GARBLED}
 
 # Concurrent sessions of one scan, at most: a target that refuses a
 # connection shrinks the pool.  The cap is above the 27 segments of the
@@ -43,55 +35,34 @@ MAX_SESSIONS = 32
 MAX_REPLY_BYTES = 65536
 
 
-@dataclass(frozen=True)
-class ReplyObservation:
-    kind: str
-    code: int | None = None
+class ReplyObservation(str):
+    """One observation: its three-character token, a status code "100".."599"
+    or a fault sentinel (TMO, DRP, GBL).  Hash and equality are `str`'s, so an
+    observation equals its plain token."""
 
-    def __post_init__(self):
-        if self.kind == CODE:
-            if self.code is None or not 100 <= self.code <= 599:
-                raise ValueError("CODE observation needs a code in 100..599")
-        elif self.kind in _TOKENS:
-            if self.code is not None:
-                raise ValueError(f"{self.kind} observation carries no code")
-        else:
-            raise ValueError(f"unknown observation kind {self.kind!r}")
+    __slots__ = ()
 
     def token(self) -> str:
-        if self.kind == CODE:
-            return f"{self.code:03d}"
-        return _TOKENS[self.kind]
+        return self
 
-    @classmethod
-    def from_token(cls, token: str) -> "ReplyObservation":
-        """The shared instance for a token, so a parsed fingerprint refers to
-        a few dozen objects instead of holding one per position."""
-        obs = _INTERNED.get(token)
-        if obs is not None:
-            return obs
-        if token in _KIND_BY_TOKEN:
-            obs = cls(_KIND_BY_TOKEN[token])
-        elif len(token) == 3 and token.isdigit() and 100 <= int(token) <= 599:
-            obs = cls(CODE, int(token))
-        else:
-            raise ValueError(f"bad observation token {token!r}")
-        # filled on first sight: all 503 built up front raised a scan's peak
-        # memory by about 1 MB.  Racing threads can only store equal values.
-        _INTERNED[token] = obs
-        return obs
+    @staticmethod
+    def from_token(token: str) -> "ReplyObservation":
+        """The shared instance of a valid token, so a parsed fingerprint refers
+        to a few dozen objects instead of holding one per position."""
+        try:
+            return BY_TOKEN[token]
+        except KeyError:
+            raise ValueError(f"bad observation token {token!r}") from None
 
 
-_INTERNED: dict[str, ReplyObservation] = {}
-
-
-def of_code(code: int) -> ReplyObservation:
-    return ReplyObservation(CODE, code)
-
-
-TIMEOUT_OBS = ReplyObservation(TIMEOUT)
-DROPPED_OBS = ReplyObservation(DROPPED)
-GARBLED_OBS = ReplyObservation(GARBLED)
+# every valid token -> its shared observation; built once, never changed
+BY_TOKEN: dict[str, ReplyObservation] = {
+    token: ReplyObservation(token)
+    for token in (*map(str, range(100, 600)), "TMO", "DRP", "GBL")
+}
+TMO = BY_TOKEN["TMO"]  # no reply within the reply timeout
+DRP = BY_TOKEN["DRP"]  # connection closed before a reply
+GBL = BY_TOKEN["GBL"]  # bytes that do not form a reply
 
 
 @dataclass(frozen=True)
@@ -126,7 +97,7 @@ class ReplyAccumulator:
     Feed it received chunks; it answers with an observation as soon as the
     buffered bytes decide one.  A single line ``ddd text`` (or a multiline
     block ``ddd-...`` closed by ``ddd text``) yields that code; a first
-    line that cannot open a reply yields GARBLED.  The finish_* methods
+    line that cannot open a reply yields GBL.  The finish_* methods
     classify streams that ended without a decision.
     """
 
@@ -134,7 +105,7 @@ class ReplyAccumulator:
         self._buffer = bytearray()
         self._consumed = 0
         self._max_bytes = max_bytes
-        self._opener: bytes | None = None
+        self._opener: ReplyObservation | None = None
         self._got_any = False
 
     def feed(self, chunk: bytes) -> ReplyObservation | None:
@@ -145,7 +116,7 @@ class ReplyAccumulator:
             newline = self._buffer.find(b"\n")
             if newline < 0:
                 if len(self._buffer) + self._consumed > self._max_bytes:
-                    return GARBLED_OBS
+                    return GBL
                 return None
             line = bytes(self._buffer[:newline]).rstrip(b"\r")
             del self._buffer[: newline + 1]
@@ -154,31 +125,28 @@ class ReplyAccumulator:
             if decision is not None:
                 return decision
             if self._consumed > self._max_bytes:
-                return GARBLED_OBS
+                return GBL
 
     def _take_line(self, line: bytes) -> ReplyObservation | None:
-        digits = line[:3]
+        # digits first: the table also holds the sentinel tokens
+        obs = BY_TOKEN.get(line[:3].decode("latin-1")) if line[:3].isdigit() else None
+        closes = len(line) == 3 or line[3:4] == b" "
         if self._opener is not None:
-            if digits == self._opener and (len(line) == 3 or line[3:4] == b" "):
-                return of_code(int(digits))
-            return None
-        if not digits.isdigit() or len(line) < 3:
-            return GARBLED_OBS
-        code = int(digits)
-        if not 100 <= code <= 599:
-            return GARBLED_OBS
-        if len(line) == 3 or line[3:4] == b" ":
-            return of_code(code)
+            return obs if closes and obs == self._opener else None
+        if obs is None:
+            return GBL
+        if closes:
+            return obs
         if line[3:4] == b"-":
-            self._opener = digits
+            self._opener = obs
             return None
-        return GARBLED_OBS
+        return GBL
 
     def finish_timeout(self) -> ReplyObservation:
-        return GARBLED_OBS if self._got_any else TIMEOUT_OBS
+        return GBL if self._got_any else TMO
 
     def finish_eof(self) -> ReplyObservation:
-        return DROPPED_OBS
+        return DRP
 
 
 class FtpSession:
@@ -214,13 +182,13 @@ class FtpSession:
         user_reply = self.exchange(f"USER {user}".encode("latin-1"))
         pass_reply = None
         final = user_reply
-        if user_reply.kind == CODE and user_reply.code in (331, 332):
+        if user_reply in ("331", "332"):
             pass_reply = self.exchange(f"PASS {pwd}".encode("latin-1"))
             final = pass_reply
-        if final.kind == CODE and final.code in (230, 202):
+        if final in ("230", "202"):
             return user_reply, pass_reply
         raise LoginError(
-            f"login rejected ({final.token()})", user_reply, pass_reply
+            f"login rejected ({final})", user_reply, pass_reply
         )
 
     def exchange(self, request: bytes) -> ReplyObservation:
@@ -233,7 +201,7 @@ class FtpSession:
             self._sock.sendall(request + b"\r\n")
         except ConnectionError:
             self.close()
-            return DROPPED_OBS
+            return DRP
         except OSError as exc:
             self.close()
             raise TransportError(f"send failed: {exc}") from exc
@@ -295,6 +263,6 @@ def connect(target: TargetSpec) -> FtpSession:
         )
     except OSError as exc:
         raise ConnectError(f"cannot connect to {target.descriptor}: {exc}") from exc
-    session = FtpSession(target, sock, GARBLED_OBS)
+    session = FtpSession(target, sock, GBL)
     session.greeting = session._read_reply()
     return session

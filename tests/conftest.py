@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from fingerfuzz.labserver import LabServer, ServerScript
-from fingerfuzz.wire import CODE, DROPPED, GARBLED, TIMEOUT, ReplyObservation, TargetSpec
+from fingerfuzz.wire import ReplyObservation, TargetSpec
 
 # Short client timeouts keep lab-server tests fast; SILENCE rules still
 # register as timeouts well within these windows.
@@ -30,11 +30,9 @@ ALL_TOKENS = tuple(str(code) for code in range(100, 600)) + ("TMO", "DRP", "GBL"
 def mixed_observations(chooser, tokens) -> tuple[ReplyObservation, ...]:
     """Observations of the tokens.  About half are new instances, equal to
     the shared ones ReplyObservation.from_token returns by value only."""
-    sentinels = {"TMO": TIMEOUT, "DRP": DROPPED, "GBL": GARBLED}
     return tuple(
         ReplyObservation.from_token(token) if chooser.random() < 0.5
-        else ReplyObservation(sentinels[token]) if token in sentinels
-        else ReplyObservation(CODE, int(token))
+        else ReplyObservation(token)
         for token in tokens
     )
 

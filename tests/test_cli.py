@@ -5,6 +5,7 @@ import json
 import socket
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -132,6 +133,8 @@ def test_scan_lab_server(tmp_path, tiny_fc, lab_factory, capsys):
     assert fp.label == "scanme"
     summary = capsys.readouterr().out
     assert "8 observations" in summary
+    histogram = " ".join(f"{t}x{n}" for t, n in sorted(Counter(expected).items()))
+    assert summary.endswith(f" [{histogram}]\n")
 
 
 def test_scan_wrong_port_fails(tmp_path, tiny_fc):
@@ -368,11 +371,10 @@ def test_match_digest_mismatch_exits_1(tmp_path, match_fixture, capsys):
     other = build_collection(FuzzConfig(commands=("HELP",), max_arg_len=0,
                                         instances=1, mutations=0, seed=1))
     from fingerfuzz.scanner import Fingerprint
-    from fingerfuzz.wire import of_code
 
     alien = Fingerprint(collection_digest=other.digest, target="x:21",
-                        observations=(of_code(200),), label="alien",
-                        login=(of_code(230),))
+                        observations=("200",), label="alien",
+                        login=("230",))
     alien_path = tmp_path / "alien.fp"
     save_fingerprint(alien, alien_path)
     assert main(["match", "--db", str(db_dir),

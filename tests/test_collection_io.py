@@ -84,6 +84,25 @@ def test_bad_escape_reports_line_number(four_record_collection):
         assert err.value.line_no == line_no
 
 
+def test_second_spelling_of_a_request_is_refused(four_record_collection):
+    # the digest is taken over the lines as read, so an escape that
+    # escape_line would not write is refused, not re-escaped to match
+    odd = build_collection(FuzzConfig(commands=("NOOP",), max_arg_len=1, instances=1,
+                                      mutations=1, seed=2))
+    cases = [
+        (four_record_collection, 9, b"NOOP", b"NO\\x4fP"),
+        (four_record_collection, 9, b"NOOP", b"\\x4eOOP"),
+        (odd, 12, b"NOO\\xaf S", b"NOO\\xAF S"),
+    ]
+    for collection, line_no, written, respelled in cases:
+        lines = serialize(collection).split(b"\n")
+        assert lines[line_no - 1] == written
+        lines[line_no - 1] = respelled
+        with pytest.raises(ParseError) as err:
+            read_collection(io.BytesIO(b"\n".join(lines)))
+        assert err.value.line_no == line_no
+
+
 def test_missing_header_is_rejected(four_record_collection):
     lines = serialize(four_record_collection).decode("ascii").splitlines()
     del lines[1]  # seed

@@ -168,6 +168,42 @@ def test_restricted_alphabet_is_respected():
         assert set(out) <= {0x41, 0x42}
 
 
+def reference_mutate(message, rng, letters):
+    """mutate as first written, drawing a change from a list of the alphabet
+    without the original byte; the oracle for the draws."""
+    op = "insert" if not message else rng.choice(("insert", "change", "delete"))
+    if op == "insert":
+        pos = rng.below(len(message) + 1)
+        return message[:pos] + bytes([rng.choice(letters)]) + message[pos:]
+    pos = rng.below(len(message))
+    if op == "change":
+        byte = rng.choice([b for b in letters if b != message[pos]])
+        return message[:pos] + bytes([byte]) + message[pos + 1:]
+    return message[:pos] + message[pos + 1:]
+
+
+@pytest.mark.parametrize("excluded", [b"", b"O", b"NOP", bytes(range(0x80, 0x100))],
+                         ids=["none", "O", "NOP", "high"])
+def test_change_draws_as_from_the_alphabet_without_the_original(excluded):
+    # an excluded command letter is a byte outside the alphabet: its change
+    # draws from the whole alphabet
+    letters = tuple(sorted(set(range(256)) - {0x0D, 0x0A} - set(excluded)))
+    ours, reference = SplitMix64(77), SplitMix64(77)
+    message = b"NOOP"
+    for _ in range(3000):
+        expected = reference_mutate(message, reference, letters)
+        assert mutate(message, ours, letters) == expected
+        message = expected if len(expected) < 12 else b"NOOP"
+
+
+def test_custom_alphabet_without_command_letters_is_pinned():
+    alphabet = frozenset(range(0x20, 0x7F)) - set(b"OS")
+    col = build_collection(small_config(commands=("NOOP", "SYST"), max_arg_len=3,
+                                        instances=2, mutations=4, seed=5,
+                                        alphabet=alphabet))
+    assert col.digest == "460b2275fc23fcab9470dd0aa901a39299605a524699addea16ba626b89a892e"
+
+
 # --- escape codec -----------------------------------------------------------
 
 def test_escape_examples():
@@ -183,7 +219,11 @@ def test_unescape_examples():
     assert unescape_line("\\x07") == b"\x07"
 
 
-@pytest.mark.parametrize("bad", ["\\", "abc\\", "\\x0", "\\xzz", "\\q", "a\tb"])
+@pytest.mark.parametrize("bad", ["\\", "abc\\", "\\x0", "\\xzz", "\\q", "a\tb",
+                                 # escapes escape_line never writes: int() reads
+                                 # each as a byte, so a second spelling of a line
+                                 "\\x+f", "\\x f", "\\x-1", "\\x0A", "\\xFF",
+                                 "\\x41", "\\x20", "\\x7e", "\\x5c"])
 def test_unescape_rejects_malformed(bad):
     with pytest.raises(ParseError):
         unescape_line(bad)

@@ -16,7 +16,7 @@ from fingerfuzz.matcher import (
     rank,
 )
 from fingerfuzz.scanner import Fingerprint, save_fingerprint
-from fingerfuzz.wire import ReplyObservation, of_code
+from fingerfuzz.wire import ReplyObservation
 
 from conftest import ALL_TOKENS, mixed_observations
 
@@ -33,8 +33,8 @@ def make_fp(tokens, digest=DIGEST_A, label="fp") -> Fingerprint:
         target="lab:21",
         observations=tuple(ReplyObservation.from_token(t) for t in tokens),
         label=label,
-        greeting=of_code(220),
-        login=(of_code(230),),
+        greeting="220",
+        login=("230",),
     )
 
 

@@ -18,7 +18,7 @@ from fingerfuzz.optimizer import (
     selection_csv,
 )
 from fingerfuzz.scanner import Fingerprint, fingerprint_target
-from fingerfuzz.wire import ReplyObservation, of_code
+from fingerfuzz.wire import ReplyObservation
 
 from conftest import ALL_TOKENS, fast_target, mixed_observations
 
@@ -31,8 +31,8 @@ def make_fp(tokens, label, digest=DIGEST) -> Fingerprint:
         target="lab:21",
         observations=tuple(ReplyObservation.from_token(t) for t in tokens),
         label=label,
-        greeting=of_code(220),
-        login=(of_code(230),),
+        greeting="220",
+        login=("230",),
     )
 
 

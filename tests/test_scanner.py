@@ -24,19 +24,12 @@ from fingerfuzz.scanner import (
     segment_length,
     write_fingerprint,
 )
-from fingerfuzz.wire import (
-    DEFAULT_SESSIONS,
-    DROPPED,
-    GARBLED,
-    TIMEOUT,
-    ReplyObservation,
-    of_code,
-)
+from fingerfuzz.wire import BY_TOKEN, DEFAULT_SESSIONS, DRP, GBL, TMO
 
-from conftest import constant_script, fast_target
+from conftest import ALL_TOKENS, constant_script, fast_target
 
 
-def predict_token(script: ServerScript, request: bytes) -> ReplyObservation:
+def predict_token(script: ServerScript, request: bytes) -> str:
     """Independent re-statement of the scripted behaviour, for oracles."""
     head, _, arg = request.partition(b" ")
     for rule in script.rules:
@@ -51,11 +44,11 @@ def predict_token(script: ServerScript, request: bytes) -> ReplyObservation:
         if rule.predicate == "EMPTY" and len(arg) != 0:
             continue
         if rule.action == "DROP":
-            return ReplyObservation(DROPPED)
+            return DRP
         if rule.action == "SILENCE":
-            return ReplyObservation(TIMEOUT)
-        return of_code(rule.code)
-    return of_code(script.default_code)
+            return TMO
+        return str(rule.code)
+    return str(script.default_code)
 
 
 def tiny_collection(commands=("NOOP",), max_arg_len=1, mutations=1, seed=7):
@@ -69,11 +62,11 @@ def test_constant_script_yields_constant_vector(lab_factory):
     collection = tiny_collection()
     server = lab_factory(constant_script(code=502))
     fp = fingerprint_target(collection, fast_target(server.port), label="const")
-    assert fp.observations == (of_code(502),) * 4
+    assert fp.observations == ("502",) * 4
     assert fp.collection_digest == collection.digest
     assert fp.label == "const"
-    assert fp.greeting == of_code(220)
-    assert fp.login == (of_code(331), of_code(230))
+    assert fp.greeting == "220"
+    assert fp.login == ("331", "230")
     assert fp.target.endswith(f":{server.port}")
 
 
@@ -104,9 +97,9 @@ def test_drop_rule_keeps_alignment(lab_factory):
     assert len(fp.observations) == len(collection.records)
     for record, obs in zip(collection.records, fp.observations):
         if record.command == "QUIT":
-            assert obs == ReplyObservation(DROPPED)
+            assert obs == DRP
         else:
-            assert obs == of_code(257)
+            assert obs == "257"
 
 
 def test_silence_rule_records_timeouts(lab_factory):
@@ -116,7 +109,7 @@ def test_silence_rule_records_timeouts(lab_factory):
     server = lab_factory(script)
     fp = fingerprint_target(collection, fast_target(server.port))
     expected = tuple(
-        ReplyObservation(TIMEOUT) if r.command == "REIN" else of_code(200)
+        TMO if r.command == "REIN" else "200"
         for r in collection.records
     )
     assert fp.observations == expected
@@ -151,7 +144,7 @@ def test_login_failure_refuses_scan(lab_factory):
     server = lab_factory(ServerScript(name="locked", pass_code=530))
     with pytest.raises(ScanRefusedError) as err:
         fingerprint_target(tiny_collection(), fast_target(server.port))
-    assert err.value.pass_reply == of_code(530)
+    assert err.value.pass_reply == "530"
 
 
 def test_late_reply_does_not_shift_alignment(lab_factory):
@@ -166,7 +159,7 @@ def test_late_reply_does_not_shift_alignment(lab_factory):
     assert [r.bytes == b"SYST" for r in collection.records] == [True, False, False]
     server = lab_factory(script)
     fp = fingerprint_target(collection, fast_target(server.port, reply_timeout=0.1))
-    assert fp.observations == (ReplyObservation(TIMEOUT), of_code(200), of_code(200))
+    assert fp.observations == (TMO, "200", "200")
     assert server.connections == 2
 
 
@@ -204,11 +197,13 @@ class Responder:
     connection is closed at once while `dead` is set.  Like a server that
     caps connections per address, it greets a connection beyond `limit`
     open ones, or one of the next `refusals`, with 421 and closes it.
+    Other connections get `greeting` (None: no greeting at all).
     `requests` holds every request line received after a login."""
 
-    def __init__(self, answer, limit=None):
+    def __init__(self, answer, limit=None, greeting=b"220 hi"):
         self.answer = answer
         self.limit = limit
+        self.greeting = greeting
         self.refusals = 0
         self.connections = 0
         self.requests = []
@@ -244,7 +239,8 @@ class Responder:
             conn.sendall(b"421 too many connections\r\n")
             conn.close()
             return
-        conn.sendall(b"220 hi\r\n")
+        if self.greeting is not None:
+            conn.sendall(self.greeting + b"\r\n")
         self._selector.register(conn, selectors.EVENT_READ, {"buffer": b"", "count": -2})
 
     def _serve(self, conn, state):
@@ -282,8 +278,8 @@ class Responder:
 def responder_factory():
     responders = []
 
-    def start(answer, limit=None):
-        responders.append(Responder(answer, limit))
+    def start(answer, limit=None, greeting=b"220 hi"):
+        responders.append(Responder(answer, limit, greeting))
         return responders[-1]
 
     yield start
@@ -313,7 +309,7 @@ def test_each_segment_starts_a_fresh_session(responder_factory):
     commands = DEFAULT_COMMANDS[:12]
     collection = tiny_collection(commands=commands, max_arg_len=2, mutations=1)
     step = segment_length(collection)
-    expected = tuple(of_code(200 + i % step) for i in range(len(collection.records)))
+    expected = tuple(str(200 + i % step) for i in range(len(collection.records)))
     bodies = set()
     for sessions in (1, 8):
         responder = responder_factory(count_reply)
@@ -335,7 +331,7 @@ def test_many_sessions_under_fast_thread_switching(responder_factory):
     finally:
         sys.setswitchinterval(interval)
     assert fp.observations == tuple(
-        of_code(200 + i % step) for i in range(len(collection.records)))
+        str(200 + i % step) for i in range(len(collection.records)))
 
 
 def test_one_connection_per_segment(lab_factory):
@@ -343,7 +339,7 @@ def test_one_connection_per_segment(lab_factory):
                                  max_arg_len=1, mutations=1)
     server = lab_factory(constant_script(code=200))
     fp = fingerprint_target(collection, fast_target(server.port, sessions=2))
-    assert fp.observations == (of_code(200),) * len(collection.records)
+    assert fp.observations == ("200",) * len(collection.records)
     assert server.connections == 5
 
 
@@ -398,7 +394,7 @@ def test_capped_target_shrinks_the_pool(responder_factory, caplog, sessions, lim
     with caplog.at_level(logging.WARNING, logger="fingerfuzz.scanner"):
         fp = fingerprint_target(collection, fast_target(capped.port, sessions=sessions))
     assert threading.active_count() == threads_before
-    assert fp.observations == tuple(of_code(200 + i % step)
+    assert fp.observations == tuple(str(200 + i % step)
                                     for i in range(len(collection.records)))
     assert body_of(fp) == body_of(reference)
     assert sent_once(capped, collection)
@@ -419,8 +415,8 @@ def test_refused_reconnect_after_a_drop_hands_the_rest_back(responder_factory, c
     responder = responder_factory(drops_third_syst)
     with caplog.at_level(logging.WARNING, logger="fingerfuzz.scanner"):
         fp = fingerprint_target(collection, fast_target(responder.port, sessions=2))
-    expected = [of_code(200)] * len(collection.records)
-    expected[step + 2] = ReplyObservation(DROPPED)
+    expected = ["200"] * len(collection.records)
+    expected[step + 2] = DRP
     assert fp.observations == tuple(expected)
     assert sent_once(responder, collection)
     assert shrinks(caplog, responder.port) == [1]
@@ -445,8 +441,8 @@ def test_refusal_on_the_last_queued_run(responder_factory, caplog):
     responder = responder_factory(drops_late_in_last_run)
     with caplog.at_level(logging.WARNING, logger="fingerfuzz.scanner"):
         fp = fingerprint_target(collection, fast_target(responder.port, sessions=2))
-    expected = [of_code(200)] * len(collection.records)
-    expected[-2] = ReplyObservation(DROPPED)
+    expected = ["200"] * len(collection.records)
+    expected[-2] = DRP
     assert fp.observations == tuple(expected)
     assert sent_once(responder, collection)
     assert shrinks(caplog, responder.port) == [1]
@@ -465,7 +461,7 @@ def test_many_sessions_against_a_cap_under_fast_thread_switching(responder_facto
     finally:
         sys.setswitchinterval(interval)
     assert fp.observations == tuple(
-        of_code(200 + i % step) for i in range(len(collection.records)))
+        str(200 + i % step) for i in range(len(collection.records)))
     assert sent_once(responder, collection)
     assert shrinks(caplog, responder.port)[-1] <= 3
 
@@ -478,18 +474,27 @@ def test_refused_first_connection_names_target_and_greeting(responder_factory):
     assert responder.connections == 1
 
 
+@pytest.mark.parametrize("greeting, token", [(None, "TMO"), (b"hello there", "GBL")])
+def test_greeting_without_a_code_is_no_refusal(responder_factory, greeting, token):
+    # sentinel tokens sort after "400" as strings; only a 4xx or 5xx code refuses
+    responder = responder_factory(count_reply, greeting=greeting)
+    collection = tiny_collection()
+    fp = fingerprint_target(collection, fast_target(responder.port, sessions=1))
+    assert fp.greeting == token
+    assert fp.observations == tuple(
+        str(200 + i % segment_length(collection)) for i in range(len(collection.records)))
+
+
 # --- fingerprint files -----------------------------------------------------------
 
 def sample_fingerprint(**overrides) -> Fingerprint:
     params = dict(
         collection_digest="ab" * 32,
         target="127.0.0.1:2121",
-        observations=(of_code(220), ReplyObservation(TIMEOUT),
-                      ReplyObservation(DROPPED), ReplyObservation(GARBLED),
-                      of_code(500)),
+        observations=("220", TMO, DRP, GBL, "500"),
         label="sample",
-        greeting=of_code(220),
-        login=(of_code(331), of_code(230)),
+        greeting="220",
+        login=("331", "230"),
     )
     params.update(overrides)
     return Fingerprint(**params)
@@ -524,8 +529,24 @@ def test_fingerprint_round_trip():
     assert read_fingerprint(io.BytesIO(serialize(fp))) == fp
 
 
+def test_every_token_survives_a_file_round_trip():
+    # plain strings in, the shared observations out
+    fp = sample_fingerprint(observations=ALL_TOKENS, greeting="421", login=("TMO", "599"))
+    back = read_fingerprint(io.BytesIO(serialize(fp)))
+    assert back == fp
+    for obs in (back.greeting, *back.login, *back.observations):
+        assert obs is BY_TOKEN[obs]
+
+
+@pytest.mark.parametrize("bad", ["20", "2000", "", "x"])
+def test_write_fingerprint_rejects_non_tokens(bad):
+    for fields in (dict(observations=("200", bad)), dict(greeting=bad), dict(login=(bad,))):
+        with pytest.raises(ValueError, match="token"):
+            serialize(sample_fingerprint(**fields))
+
+
 def test_fingerprint_round_trip_without_label():
-    fp = sample_fingerprint(label=None, login=(of_code(230),))
+    fp = sample_fingerprint(label=None, login=("230",))
     assert read_fingerprint(io.BytesIO(serialize(fp))) == fp
 
 
@@ -556,6 +577,14 @@ def test_fingerprint_save_load(tmp_path):
         lambda t: t.replace("#created", "#label again\n#created"),
         # the header closes with #login; the tool never writes a header after it
         lambda t: t.replace("#greeting 220\n#login 331,230\n", "#login 331,230\n#greeting 220\n"),
+        # body lines that are not one of the 503 tokens; the tool writes no blank line
+        lambda t: t.replace("\nDRP\n", "\n099\n"),
+        lambda t: t.replace("\nDRP\n", "\n600\n"),
+        lambda t: t.replace("\nDRP\n", "\n20\n"),
+        lambda t: t.replace("\nDRP\n", "\n2000\n"),
+        lambda t: t.replace("\nTMO\n", "\ntmo\n"),
+        lambda t: t.replace("\nDRP\n", "\n 20\n"),
+        lambda t: t.replace("\nDRP\n", "\n\nDRP\n"),
     ],
 )
 def test_fingerprint_parse_errors(mangle):

@@ -7,29 +7,36 @@ import pytest
 from fingerfuzz.errors import ConnectError, LoginError
 from fingerfuzz.labserver import Rule, ServerScript
 from fingerfuzz.wire import (
-    CODE,
-    DROPPED,
-    GARBLED,
-    TIMEOUT,
+    BY_TOKEN,
+    DRP,
+    GBL,
+    TMO,
     ReplyAccumulator,
     ReplyObservation,
     TargetSpec,
     connect,
-    of_code,
 )
 
-from conftest import constant_script, fast_target
+from conftest import ALL_TOKENS, constant_script, fast_target
 
 
 # --- observation tokens -------------------------------------------------------
 
 def test_tokens_round_trip():
-    for obs in (of_code(100), of_code(599), of_code(220),
-                ReplyObservation(TIMEOUT), ReplyObservation(DROPPED),
-                ReplyObservation(GARBLED)):
-        shared = ReplyObservation.from_token(obs.token())
-        assert shared == obs
-        assert ReplyObservation.from_token(obs.token()) is shared  # one per token
+    for token in ALL_TOKENS:
+        shared = ReplyObservation.from_token(token)
+        assert isinstance(shared, ReplyObservation)
+        assert shared.token() == token
+        assert ReplyObservation.from_token(shared.token()) is shared  # one per token
+    assert (TMO, DRP, GBL) == ("TMO", "DRP", "GBL")
+
+
+def test_observation_is_its_plain_token():
+    for token in ("100", "220", "599", "TMO", "DRP", "GBL"):
+        for obs in (ReplyObservation.from_token(token), ReplyObservation(token)):
+            assert obs == token and token == obs
+            assert hash(obs) == hash(token)
+            assert {token: 1}[obs] == 1 and {obs: 1}[token] == 1
 
 
 @pytest.mark.parametrize("bad", ["", "22", "2200", "099", "600", "abc", "tmo"])
@@ -39,10 +46,10 @@ def test_bad_tokens_rejected(bad):
 
 
 def test_code_range_enforced():
-    with pytest.raises(ValueError):
-        ReplyObservation(CODE, 99)
-    with pytest.raises(ValueError):
-        ReplyObservation(CODE, None)
+    assert sorted(BY_TOKEN) == sorted(ALL_TOKENS)  # 100..599 and three sentinels
+    for code in (0, 99, 600, 999):
+        with pytest.raises(ValueError):
+            ReplyObservation.from_token(f"{code:03d}")
 
 
 # --- reply accumulator ---------------------------------------------------------
@@ -57,61 +64,61 @@ def feed_all(data: bytes, chunk_size: int = 4096):
 
 
 def test_single_line_reply():
-    assert feed_all(b"500 Syntax error\r\n") == of_code(500)
+    assert feed_all(b"500 Syntax error\r\n") == "500"
 
 
 def test_bare_code_line():
-    assert feed_all(b"220\r\n") == of_code(220)
+    assert feed_all(b"220\r\n") == "220"
 
 
 def test_multiline_reply():
-    assert feed_all(b"211-features\r\n211 end\r\n") == of_code(211)
+    assert feed_all(b"211-features\r\n211 end\r\n") == "211"
 
 
 def test_multiline_with_digit_interior():
     data = b"211-first\r\n212 not the end\r\n211-still open\r\n211 end\r\n"
-    assert feed_all(data) == of_code(211)
+    assert feed_all(data) == "211"
 
 
 def test_multiline_needs_matching_closer():
     acc = ReplyAccumulator()
     assert acc.feed(b"211-open\r\n500 other\r\n") is None
-    assert acc.feed(b"211 done\r\n") == of_code(211)
+    assert acc.feed(b"211 done\r\n") == "211"
 
 
 def test_garbled_greeting():
-    assert feed_all(b"hello\r\n") == ReplyObservation(GARBLED)
+    assert feed_all(b"hello\r\n") == GBL
 
 
 def test_code_out_of_range_is_garbled():
-    assert feed_all(b"600 nope\r\n") == ReplyObservation(GARBLED)
-    assert feed_all(b"099 nope\r\n") == ReplyObservation(GARBLED)
+    assert feed_all(b"600 nope\r\n") == GBL
+    assert feed_all(b"099 nope\r\n") == GBL
 
 
 def test_code_without_separator_is_garbled():
-    assert feed_all(b"200x\r\n") == ReplyObservation(GARBLED)
+    assert feed_all(b"200x\r\n") == GBL
 
 
 def test_lf_only_line_accepted():
-    assert feed_all(b"230 ok\n") == of_code(230)
+    assert feed_all(b"230 ok\n") == "230"
 
 
 def test_no_bytes_is_timeout():
     acc = ReplyAccumulator()
     assert acc.feed(b"") is None
-    assert acc.finish_timeout() == ReplyObservation(TIMEOUT)
+    assert acc.finish_timeout() == TMO
 
 
 def test_partial_bytes_then_deadline_is_garbled():
     acc = ReplyAccumulator()
     assert acc.feed(b"220 almost") is None
-    assert acc.finish_timeout() == ReplyObservation(GARBLED)
+    assert acc.finish_timeout() == GBL
 
 
 def test_eof_is_dropped():
     acc = ReplyAccumulator()
     acc.feed(b"220 part")
-    assert acc.finish_eof() == ReplyObservation(DROPPED)
+    assert acc.finish_eof() == DRP
 
 
 def test_oversized_garbage_is_garbled():
@@ -122,30 +129,28 @@ def test_oversized_garbage_is_garbled():
         decision = acc.feed(junk)
         if decision is not None:
             break
-    assert decision == ReplyObservation(GARBLED)
+    assert decision == GBL
 
 
 def test_chunked_delivery_matches_single_shot():
     data = b"211-hello\r\n211 done\r\n"
-    assert feed_all(data, chunk_size=1) == of_code(211)
+    assert feed_all(data, chunk_size=1) == "211"
 
 
 def test_code_fidelity_for_every_code():
     for code in range(100, 600):
         reply = f"{code} some text\r\n".encode()
-        assert feed_all(reply) == of_code(code)
+        assert feed_all(reply) is BY_TOKEN[str(code)]
         multi = f"{code}-first\r\n{code} last\r\n".encode()
-        assert feed_all(multi) == of_code(code)
+        assert feed_all(multi) is BY_TOKEN[str(code)]
 
 
 def test_accumulator_never_raises_on_random_bytes():
     chooser = random.Random(99)
-    kinds = set()
     for _ in range(2000):
         stream = bytes(chooser.randint(0, 255) for _ in range(chooser.randint(0, 80)))
         obs = feed_all(stream, chunk_size=7)
-        kinds.add(obs.kind)
-    assert kinds <= {CODE, TIMEOUT, GARBLED, DROPPED}
+        assert obs is BY_TOKEN.get(obs)  # a shared, valid observation
 
 
 # --- target parameters -----------------------------------------------------------
@@ -186,7 +191,7 @@ def test_connect_reads_greeting(lab_factory):
     server = lab_factory(ServerScript(name="greeter", greeting_code=220,
                                       greeting_text="ok"))
     session = connect(fast_target(server.port))
-    assert session.greeting == of_code(220)
+    assert session.greeting == "220"
     session.close()
 
 
@@ -206,8 +211,8 @@ def test_login_user_pass_flow(lab_factory):
     server = lab_factory(constant_script())
     session = connect(fast_target(server.port))
     user_reply, pass_reply = session.login()
-    assert user_reply == of_code(331)
-    assert pass_reply == of_code(230)
+    assert user_reply == "331"
+    assert pass_reply == "230"
     session.close()
 
 
@@ -215,7 +220,7 @@ def test_login_direct_success_skips_pass(lab_factory):
     server = lab_factory(ServerScript(name="open", user_code=230))
     session = connect(fast_target(server.port))
     user_reply, pass_reply = session.login()
-    assert user_reply == of_code(230)
+    assert user_reply == "230"
     assert pass_reply is None
     session.close()
 
@@ -225,8 +230,8 @@ def test_login_rejection_raises(lab_factory):
     session = connect(fast_target(server.port))
     with pytest.raises(LoginError) as err:
         session.login()
-    assert err.value.user_reply == of_code(331)
-    assert err.value.pass_reply == of_code(530)
+    assert err.value.user_reply == "331"
+    assert err.value.pass_reply == "530"
     session.close()
 
 
@@ -234,8 +239,8 @@ def test_exchange_constant_reply(lab_factory):
     server = lab_factory(constant_script(code=502))
     session = connect(fast_target(server.port))
     session.login()
-    assert session.exchange(b"NOOP") == of_code(502)
-    assert session.exchange(b"anything at all") == of_code(502)
+    assert session.exchange(b"NOOP") == "502"
+    assert session.exchange(b"anything at all") == "502"
     session.close()
 
 
@@ -247,7 +252,7 @@ def test_exchange_multiline(lab_factory):
     server = lab_factory(script)
     session = connect(fast_target(server.port))
     session.login()
-    assert session.exchange(b"FEAT") == of_code(211)
+    assert session.exchange(b"FEAT") == "211"
     session.close()
 
 
@@ -256,7 +261,7 @@ def test_exchange_drop(lab_factory):
     server = lab_factory(script)
     session = connect(fast_target(server.port))
     session.login()
-    assert session.exchange(b"QUIT now") == ReplyObservation(DROPPED)
+    assert session.exchange(b"QUIT now") == DRP
     assert not session.alive
     session.close()
 
@@ -266,9 +271,9 @@ def test_exchange_silence_times_out(lab_factory):
     server = lab_factory(script)
     session = connect(fast_target(server.port))
     session.login()
-    assert session.exchange(b"REIN") == ReplyObservation(TIMEOUT)
+    assert session.exchange(b"REIN") == TMO
     # connection still open: the next request gets the default reply
-    assert session.exchange(b"NOOP") == of_code(502)
+    assert session.exchange(b"NOOP") == "502"
     session.close()
 
 
@@ -309,7 +314,7 @@ def test_drain_swallows_spontaneous_extra_line():
     thread.start()
     session = connect(fast_target(port, drain_window=0.15, reply_timeout=0.6))
     session.login()
-    assert session.exchange(b"NOOP a") == of_code(200)
-    assert session.exchange(b"NOOP b") == of_code(451)
+    assert session.exchange(b"NOOP a") == "200"
+    assert session.exchange(b"NOOP b") == "451"
     session.close()
     listener.close()
