@@ -260,13 +260,13 @@ def cmd_scan(args) -> int:
 
 
 def cmd_match(args) -> int:
-    db = matcher.FingerprintDB.load(args.db)
     if args.matrix:
-        sys.stdout.write(matcher.matrix_csv(db))
+        sys.stdout.write(matcher.matrix_csv(matcher.FingerprintDB.load(args.db)))
         return 0
     if args.fingerprint is None:
         raise UsageError("--fingerprint is required unless --matrix is given")
     probe = scanner.load_fingerprint(args.fingerprint)
+    db = matcher.FingerprintDB.load(args.db)
     if probe.fp_version != db.fp_version:
         raise IncomparableError(
             f"probe is fp-version {probe.fp_version} and the database "

@@ -7,13 +7,17 @@ method (equal fp-versions; checked when a database is built and by the
 agreement is exact token equality per position; fault sentinels count like
 codes, since the absence of a status code is itself a distinguishing signal.
 
-Agreement is counted on bitset planes.  A table gives every distinct token
-an id, and a fingerprint becomes one integer per distinct token, with bit
-i set where observation i is that token.  The equal positions of a and b
-are then sum over tokens t of popcount(a[t] & b[t]): an exact integer
-count, so ratios and percentages are the same as counting position by
-position.  FingerprintDB encodes its entries once, when it is built;
-rank, match_matrix and match_pair all count through `_agree`.
+A FingerprintDB packs its entries once, when it is built.  A table gives
+every distinct token of the database an id, and one more id, reserved, stands
+for every probe token that no entry holds.  An entry becomes its string of
+ids, one character per position, and one integer made of that string's
+bytes: one byte per position while the table and the reserved id fit in 256
+ids, two (`utf-16-le`) beyond that.  Two vectors packed alike agree exactly
+where `a ^ b` has a zero lane, so rank and match_matrix count the zero bytes
+of `(a ^ b).to_bytes(...)`; at two bytes per position each lane's two bytes
+are ORed first.  The count is exact, so ratios and percentages are the same
+as counting position by position.  match_pair, which has no database to
+pack against, compares the two token vectors directly.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from pathlib import Path
 
 from .errors import DatabaseError, IncomparableError
@@ -69,8 +73,7 @@ def _check_comparable(a: Fingerprint, b: Fingerprint) -> None:
 def match_pair(a: Fingerprint, b: Fingerprint) -> MatchResult:
     """Count equal positions; the result is labelled after the candidate b."""
     _check_comparable(a, b)
-    ids = _TokenIds()
-    agree = _agree(_planes(ids.encode(a)), _planes(ids.encode(b)))
+    agree = sum(map(str.__eq__, a.observations, b.observations))
     return MatchResult(display_label(b), agree, len(a.observations))
 
 
@@ -86,25 +89,13 @@ class _TokenIds(dict):
         return "".join(map(self.__getitem__, fp.observations))
 
 
-def _planes(vector: str) -> dict[str, int]:
-    """One bitset per distinct token id: bit i set where vector[i] is that id."""
-    reverse = vector[::-1]  # int(..., 2) reads the last character as bit 0
-    zeros = dict.fromkeys(map(ord, set(vector)), "0")
-    return {
-        chr(code): int(reverse.translate({**zeros, code: "1"}), 2) for code in zeros
-    }
-
-
-def _agree(a: dict[str, int], b: dict[str, int]) -> int:
-    """Equal positions of two fingerprints encoded with the same token ids."""
-    return sum((plane & b.get(t, 0)).bit_count() for t, plane in a.items())
-
-
 class FingerprintDB:
     """All known fingerprints for one collection, indexed by unique label.
 
-    Entries are encoded once, on construction: one token-id vector and one
-    set of bitset planes per entry, in label order, over one token table.
+    Entries are packed once, on construction, over one token table: all
+    entries' token ids as one row-major string (entry after entry, in label
+    order), and one integer per entry made of its id bytes, for rank and
+    match_matrix to XOR (see the module docstring).
     """
 
     def __init__(self, fingerprints: dict[str, Fingerprint]):
@@ -128,8 +119,30 @@ class FingerprintDB:
                                 f"rescan the older ones: {old}")
         self._by_label = dict(sorted(fingerprints.items()))
         self._ids = _TokenIds()
-        self._vectors = tuple(map(self._ids.encode, self._by_label.values()))
-        self._planes = tuple(map(_planes, self._vectors))
+        vectors = tuple(map(self._ids.encode, self._by_label.values()))
+        self._reserved = chr(len(self._ids))  # the id of every token no entry holds
+        # one byte per position while the ids and the reserved one fit in 256
+        self._codec = "latin-1" if len(self._ids) < 256 else "utf-16-le"
+        self._length = lengths.pop()
+        self._table = "".join(vectors)
+        self._packed = tuple(map(self._pack, vectors))
+
+    def _pack(self, vector: str) -> int:
+        """A token-id vector as one integer of its bytes under `_codec`."""
+        return int.from_bytes(vector.encode(self._codec), "big")
+
+    def _encode(self, fp: Fingerprint) -> int:
+        """A probe packed like the entries, unknown tokens as the reserved id."""
+        ids = map(self._ids.get, fp.observations, repeat(self._reserved))
+        return self._pack("".join(ids))
+
+    def _agree(self, a: int, b: int) -> int:
+        """Equal positions of two packed vectors: the zero lanes of a ^ b."""
+        x = a ^ b
+        if self._codec == "latin-1":
+            return x.to_bytes(self._length, "big").count(0)
+        # two bytes per position: OR each pair into its second byte
+        return (x | x >> 8).to_bytes(2 * self._length, "big")[1::2].count(0)
 
     @classmethod
     def load(cls, directory) -> "FingerprintDB":
@@ -172,9 +185,11 @@ class FingerprintDB:
         return tuple(self._by_label.values())
 
     def columns(self):
-        """Token ids position by position: one tuple per position holding
-        each entry's id in label order.  Equal ids mean equal observations."""
-        return zip(*self._vectors)
+        """Token ids position by position: one string per position holding
+        each entry's id in label order, a strided slice of the row-major id
+        table.  Equal ids mean equal observations."""
+        table, stride = self._table, self._length
+        return (table[i::stride] for i in range(stride))
 
 
 def rank(probe: Fingerprint, db: FingerprintDB, k: int = 5) -> list[MatchResult]:
@@ -188,13 +203,11 @@ def rank(probe: Fingerprint, db: FingerprintDB, k: int = 5) -> list[MatchResult]
         )
     fps = db.fingerprints()
     _check_comparable(probe, fps[0])
-    # encoded on a copy of the table: a token no entry holds gets a new id
-    # that no entry's planes contain
-    planes = _planes(_TokenIds(db._ids).encode(probe))
+    packed = db._encode(probe)
     total = len(probe.observations)
     results = [
-        MatchResult(display_label(fp), _agree(planes, entry), total)
-        for fp, entry in zip(fps, db._planes)
+        MatchResult(display_label(fp), db._agree(packed, entry), total)
+        for fp, entry in zip(fps, db._packed)
     ]
     results.sort(key=lambda m: (-m.agree, m.label))  # one total, so agree orders ratio
     return results[:k]
@@ -209,8 +222,8 @@ def match_matrix(db: FingerprintDB) -> list[list[float]]:
     n = len(fps)
     total = len(fps[0].observations)
     matrix = [[100.0] * n for _ in range(n)]
-    for (i, a), (j, b) in combinations(enumerate(db._planes), 2):
-        percent = MatchResult(display_label(fps[j]), _agree(a, b), total).percent
+    for (i, a), (j, b) in combinations(enumerate(db._packed), 2):
+        percent = MatchResult(display_label(fps[j]), db._agree(a, b), total).percent
         matrix[i][j] = percent
         matrix[j][i] = percent
     return matrix

@@ -27,7 +27,8 @@ class IndexSelection:
 
 
 def discriminating_indexes(db: FingerprintDB) -> IndexSelection:
-    """Indexes where at least one unordered pair of fingerprints differs."""
+    """Indexes where at least one unordered pair of fingerprints differs,
+    counted on each position's string of token ids (`FingerprintDB.columns`)."""
     if len(db) < 2:
         raise InsufficientDataError("need at least two fingerprints to compare")
     all_pairs = len(db) * (len(db) - 1) // 2

@@ -394,6 +394,20 @@ def test_match_requires_probe_or_matrix(match_fixture):
     assert main(["match", "--db", str(db_dir)]) == 2
 
 
+def test_match_usage_error_comes_before_the_database(tmp_path, capsys):
+    assert main(["match", "--db", str(tmp_path / "nonexistent")]) == 2
+    assert "--fingerprint" in capsys.readouterr().err
+
+
+def test_match_reads_the_probe_before_the_database(tmp_path, capsys):
+    probe = tmp_path / "probe.fp"
+    probe.write_text("#fp-version 2\nnot a fingerprint\n")
+    assert main(["match", "--db", str(tmp_path / "nonexistent"),
+                 "--fingerprint", str(probe)]) == 1
+    err = capsys.readouterr().err
+    assert "not a directory" not in err and "line 2" in err
+
+
 # --- optimize --------------------------------------------------------------------
 
 def test_optimize_reduces_and_traces(tmp_path, tiny_fc, lab_factory, capsys):

@@ -15,6 +15,7 @@ from fingerfuzz.matcher import (
     matrix_csv,
     rank,
 )
+from fingerfuzz.optimizer import discriminating_indexes
 from fingerfuzz.scanner import Fingerprint, save_fingerprint
 from fingerfuzz.wire import ReplyObservation
 
@@ -269,3 +270,67 @@ def test_matrix_csv_shape():
     assert lines[0] == "label,one,two"
     assert lines[1] == "one,100.00,66.67"
     assert lines[2] == "two,66.67,100.00"
+
+
+# --- token-table width ----------------------------------------------------------
+
+def brute_force_kept(fps: list[Fingerprint]) -> list[tuple[int, int]]:
+    """(index, differing pairs) for every index where some pair differs."""
+    kept = []
+    for i in range(len(fps[0].observations)):
+        differing = sum(
+            1 for x in range(len(fps)) for y in range(x + 1, len(fps))
+            if fps[x].observations[i] != fps[y].observations[i]
+        )
+        if differing:
+            kept.append((i, differing))
+    return kept
+
+
+@pytest.mark.parametrize("distinct", [254, 255, 256, 300])
+@pytest.mark.parametrize("unknown", [1, 2])
+def test_width_boundary_matches_brute_force(distinct, unknown):
+    # a table of 255 tokens plus the reserved id is the last to fit one
+    # byte per position; from 256 on each position takes two
+    chooser = random.Random(distinct * 10 + unknown)
+    pool = chooser.sample(ALL_TOKENS, distinct)
+    absent = [t for t in ALL_TOKENS if t not in pool][:unknown]
+    length = distinct + 40
+    first = pool + [chooser.choice(pool) for _ in range(40)]
+    chooser.shuffle(first)
+    vectors = [first]
+    for _ in range(4):
+        vector = list(chooser.choice(vectors))
+        for pos in chooser.sample(range(length), length // 3):
+            vector[pos] = chooser.choice(pool)
+        vectors.append(vector)
+    entries = {f"e{i}": make_fp(v, label=f"e{i}") for i, v in enumerate(vectors)}
+    probe_tokens = list(vectors[2])
+    for pos in chooser.sample(range(length), 10):
+        probe_tokens[pos] = chooser.choice(pool)
+    for pos, token in zip(chooser.sample(range(length), unknown), absent):
+        probe_tokens[pos] = token
+    probe = make_fp(probe_tokens, label="probe")
+
+    db = FingerprintDB(entries)
+    assert len(set().union(*vectors)) == distinct
+    expected = sorted((-brute_force_agreement(probe, e), label) for label, e in entries.items())
+    assert [(m.label, m.agree) for m in rank(probe, db, k=len(db))] == [
+        (label, -negated) for negated, label in expected
+    ]
+    labels = sorted(entries)
+    assert match_matrix(db) == [
+        [brute_force_percent(entries[x], entries[y]) for y in labels] for x in labels
+    ]
+    for label, entry in entries.items():
+        assert match_pair(probe, entry).agree == brute_force_agreement(probe, entry)
+    selection = discriminating_indexes(db)
+    assert list(zip(selection.kept, selection.provenance)) == brute_force_kept(
+        [entries[label] for label in labels])
+
+
+def test_zero_length_entries_build_but_do_not_rank():
+    db = FingerprintDB({"a": make_fp([], label="a"), "b": make_fp([], label="b")})
+    assert list(db.columns()) == []
+    with pytest.raises(IncomparableError):
+        rank(make_fp([], label="probe"), db)
