@@ -44,13 +44,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _seconds(text: str) -> float:
+    """The --delay: seconds from 0 to the longest wait a thread takes.
+    TargetSpec checks the timeouts itself."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be > 0")
+    if not 0 <= value <= threading.TIMEOUT_MAX:  # NaN fails it too
+        raise argparse.ArgumentTypeError(
+            f"must be a number of seconds in 0..{threading.TIMEOUT_MAX:.0f}")
     return value
 
 
@@ -86,15 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--user", default=wire.ANONYMOUS_USER)
     scan.add_argument("--pass", dest="password", default=wire.ANONYMOUS_PASSWORD)
     scan.add_argument("--label", default=None, help="name stored in the fingerprint")
-    scan.add_argument("--delay", type=float, default=0.0,
+    scan.add_argument("--delay", type=_seconds, default=0.0,
                       help="seconds each session waits between requests")
     scan.add_argument("--sessions", type=_positive_int, default=wire.DEFAULT_SESSIONS,
                       help="command blocks scanned at the same time, each on its "
                            f"own connection (1..{wire.MAX_SESSIONS}); fewer are used "
                            "while the server refuses more connections")
-    scan.add_argument("--timeout", type=_positive_float, default=5.0,
+    scan.add_argument("--timeout", type=float, default=5.0,
                       help="seconds to wait for each reply")
-    scan.add_argument("--drain-window", type=_positive_float, default=0.2,
+    scan.add_argument("--drain-window", type=float, default=0.2,
                       help="seconds to discard trailing bytes after each reply")
     scan.add_argument("--targets", default=None,
                       help="file with one host[:port] per line; scans run "
@@ -230,17 +233,18 @@ def cmd_scan(args) -> int:
             scanner.check_label(args.label)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    collection = fuzzgen.load_collection(args.collection)
     if args.targets is None:
         if args.host is None:
             raise UsageError("--host is required unless --targets is given")
-        return _scan_one(collection, args, _target(args, args.host, args.port),
+        target = _target(args, args.host, args.port)
+        return _scan_one(fuzzgen.load_collection(args.collection), args, target,
                          args.output)
 
     targets = [_target(args, *_parse_host_port(line, args.port))
                for line in _list_file(args.targets, "targets")]
     if not targets:
         raise UsageError("targets file lists no hosts")
+    collection = fuzzgen.load_collection(args.collection)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -14,13 +14,17 @@ class ConfigError(FingerfuzzError):
 
 
 class ParseError(FingerfuzzError):
-    """Malformed collection, fingerprint, or server-script file."""
+    """Malformed collection, fingerprint, or server-script file; the message
+    names the file, line and column where they are known."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+    def __init__(self, message: str, line_no: int | None = None,
+                 column: int | None = None, path=None):
+        self.reason = message
         self.line_no = line_no
+        self.column = column
+        place = ", ".join(f"{name} {value}" for name, value
+                          in (("line", line_no), ("column", column)) if value is not None)
+        super().__init__(": ".join(str(part) for part in (path, place, message) if part))
 
 
 class IntegrityError(FingerfuzzError):

@@ -5,6 +5,10 @@ generator draws n base requests and derives m cumulative single-character
 mutants from each, giving |commands| * (L+1) * n * (m+1) requests in a
 fixed canonical order.  Two runs with the same config are byte-identical,
 which is what makes fingerprints of different targets comparable.
+
+A request is its index and its bytes, nothing more.  The layout is defined
+once, by `FuzzConfig.block_length`: the (L+1) * n * (m+1) requests of one
+command form a block, and block i belongs to the i-th command.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Iterable
 
 from .errors import ConfigError, IntegrityError, ParseError
@@ -35,27 +39,23 @@ DEFAULT_SEED = 1
 _COMMAND_RE = re.compile(r"^[A-Z]{3,8}$")
 _LINE_BREAKS = frozenset({0x0D, 0x0A})
 _DEFAULT_ALPHABET = frozenset(range(256)) - _LINE_BREAKS
-_LOWER_HEX = frozenset("0123456789abcdef")
 
 FC_VERSION = 1
 
 
-def default_alphabet() -> frozenset[int]:
-    return _DEFAULT_ALPHABET
-
-
 @dataclass(frozen=True)
 class FuzzConfig:
-    """Generation parameters; fully determines a collection."""
+    """Generation parameters; fully determines a collection.  Checked when
+    made: a bad value raises ConfigError naming its field."""
 
     commands: tuple[str, ...] = DEFAULT_COMMANDS
     max_arg_len: int = DEFAULT_MAX_ARG_LEN
     instances: int = DEFAULT_INSTANCES
     mutations: int = DEFAULT_MUTATIONS
     seed: int = DEFAULT_SEED
-    alphabet: frozenset[int] = field(default_factory=default_alphabet)
+    alphabet: frozenset[int] = _DEFAULT_ALPHABET
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.commands:
             raise ConfigError("commands", "must not be empty")
         seen = set()
@@ -89,29 +89,22 @@ class FuzzConfig:
     def sorted_alphabet(self) -> tuple[int, ...]:
         return tuple(sorted(self.alphabet))
 
+    @property
+    def block_length(self) -> int:
+        """Records per command block: every argument length, instance and
+        mutation step of one command."""
+        return (self.max_arg_len + 1) * self.instances * (self.mutations + 1)
+
     def record_count(self) -> int:
-        return (
-            len(self.commands)
-            * (self.max_arg_len + 1)
-            * self.instances
-            * (self.mutations + 1)
-        )
+        return len(self.commands) * self.block_length
 
 
 @dataclass(frozen=True)
 class RequestRecord:
-    """One request plus its generation coordinates.
-
-    Coordinates are None for records read back from a reduced collection
-    file, which stores only the raw requests.
-    """
+    """One request: its position in the collection and its bytes."""
 
     index: int
     bytes: bytes
-    command: str | None = None
-    arg_len: int | None = None
-    instance: int | None = None
-    step: int | None = None
 
 
 @dataclass(frozen=True)
@@ -159,32 +152,23 @@ def build_collection(config: FuzzConfig) -> FuzzCollection:
     Order: commands as configured, argument length ascending, instance
     ascending, mutation step ascending (step 0 is the unmutated base).
     """
-    config.validate()
     rng = SplitMix64(config.seed)
     printable = config.printable_alphabet()
     letters = config.sorted_alphabet()
-    records: list[RequestRecord] = []
-    index = 0
+    requests: list[bytes] = []
     for command in config.commands:
         cmd_bytes = command.encode("ascii")
         for arg_len in range(config.max_arg_len + 1):
-            for instance in range(config.instances):
-                if arg_len == 0:
-                    base = cmd_bytes
-                else:
-                    arg = bytes(rng.choice(printable) for _ in range(arg_len))
-                    base = cmd_bytes + b" " + arg
-                records.append(RequestRecord(index, base, command, arg_len, instance, 0))
-                index += 1
-                current = base
-                for step in range(1, config.mutations + 1):
+            for _ in range(config.instances):
+                current = cmd_bytes
+                if arg_len:
+                    current += b" " + bytes(rng.choice(printable) for _ in range(arg_len))
+                requests.append(current)
+                for _ in range(config.mutations):
                     current = mutate(current, rng, letters)
-                    records.append(
-                        RequestRecord(index, current, command, arg_len, instance, step)
-                    )
-                    index += 1
-    digest = body_digest(escape_line(r.bytes) for r in records)
-    return FuzzCollection(tuple(records), config, digest)
+                    requests.append(current)
+    records = tuple(RequestRecord(i, data) for i, data in enumerate(requests))
+    return FuzzCollection(records, config, body_digest(map(escape_line, requests)))
 
 
 def body_digest(lines: Iterable[str]) -> str:
@@ -196,54 +180,30 @@ def body_digest(lines: Iterable[str]) -> str:
     return h.hexdigest()
 
 
+# Each byte's spelling in an escaped line: printable ASCII as itself, the
+# backslash doubled, every other byte as \x and two lowercase hex digits.
+_ESCAPES = [chr(b) if 0x20 <= b <= 0x7E else f"\\x{b:02x}" for b in range(256)]
+_ESCAPES[0x5C] = "\\\\"
+# The lines escape_line writes, and no others: one spelling per line, so the
+# digest can be taken over the lines as read.  No two alternatives match the
+# same text and none holds a quantifier, so a match takes linear time and
+# ends at the first character that is not canonical.
+_CANONICAL = re.compile(r"(?:[ -\[\]-~]|\\\\|\\x(?:[01][0-9a-f]|7f|[89a-f][0-9a-f]))*")
+
+
 def escape_line(data: bytes) -> str:
     """Encode arbitrary bytes as one printable-ASCII line."""
-    out = []
-    for b in data:
-        if b == 0x5C:
-            out.append("\\\\")
-        elif 0x20 <= b <= 0x7E:
-            out.append(chr(b))
-        else:
-            out.append(f"\\x{b:02x}")
-    return "".join(out)
+    return data.decode("latin-1").translate(_ESCAPES)
 
 
 def unescape_line(line: str) -> bytes:
-    """The bytes of an escaped line.  Only the escapes escape_line writes are
-    accepted, so every line has one spelling and the digest can be taken over
-    the lines as read."""
-    out = bytearray()
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if not 0x20 <= ord(ch) <= 0x7E:
-            raise ParseError(f"non-printable character {ch!r} in escaped line")
-        if ch != "\\":
-            out.append(ord(ch))
-            i += 1
-            continue
-        if i + 1 >= n:
-            raise ParseError("dangling backslash")
-        nxt = line[i + 1]
-        if nxt == "\\":
-            out.append(0x5C)
-            i += 2
-            continue
-        if nxt != "x":
-            raise ParseError(f"unknown escape '\\{nxt}'")
-        if i + 3 >= n:
-            raise ParseError("truncated \\x escape")
-        hexpair = line[i + 2 : i + 4]
-        if not _LOWER_HEX.issuperset(hexpair):  # int() also takes a sign, spaces, capitals
-            raise ParseError(f"bad hex digits {hexpair!r} in \\x escape")
-        value = int(hexpair, 16)
-        if 0x20 <= value <= 0x7E:
-            raise ParseError(f"printable byte escaped as '\\x{hexpair}'")
-        out.append(value)
-        i += 4
-    return bytes(out)
+    """The bytes of a line escape_line wrote; any other line is a ParseError
+    that gives the column of its first non-canonical character."""
+    end = _CANONICAL.match(line).end()
+    if end < len(line):
+        raise ParseError(f"not a printable character or canonical escape: "
+                         f"{line[end:end + 4]!r}", column=end + 1)
+    return line.encode("ascii").decode("unicode_escape").encode("latin-1")
 
 
 def _excludes_token(alphabet: frozenset[int]) -> str:
@@ -308,17 +268,16 @@ def read_collection(source: BinaryIO) -> FuzzCollection:
         lines.pop()  # the file's terminating LF, not an empty request
     headers, start = parse_header(lines, _FC_HEADER, "digest", optional=("reduced-from",))
     body: list[bytes] = []
-    try:
-        for line_no, line in enumerate(lines[start:], start=start + 1):
+    for line_no, line in enumerate(lines[start:], start=start + 1):
+        try:
             body.append(unescape_line(line))
-    except ParseError as exc:
-        raise ParseError(str(exc), line_no) from None
+        except ParseError as exc:
+            raise ParseError(exc.reason, line_no, exc.column) from None
 
     config = FuzzConfig(
         headers["commands"], headers["max-arg-len"], headers["instances"],
         headers["mutations"], headers["seed"], headers["alphabet-excludes"],
     )
-    config.validate()
 
     stored = headers["digest"]
     actual = body_digest(lines[start:])
@@ -326,35 +285,12 @@ def read_collection(source: BinaryIO) -> FuzzCollection:
         raise IntegrityError(f"digest mismatch: header {stored}, body {actual}")
 
     reduced_from = headers.get("reduced-from")
-    if reduced_from is None:
-        if len(body) != config.record_count():
-            raise ParseError(
-                f"expected {config.record_count()} requests, found {len(body)}"
-            )
-        records = tuple(
-            RequestRecord(i, data, *_coordinates(config, i))
-            for i, data in enumerate(body)
-        )
-    else:
-        if not body:
-            raise ParseError("reduced collection has no requests")
-        records = tuple(RequestRecord(i, data) for i, data in enumerate(body))
+    if reduced_from is None and len(body) != config.record_count():
+        raise ParseError(f"expected {config.record_count()} requests, found {len(body)}")
+    if not body:
+        raise ParseError("reduced collection has no requests")
+    records = tuple(RequestRecord(i, data) for i, data in enumerate(body))
     return FuzzCollection(records, config, actual, reduced_from)
-
-
-def _coordinates(config: FuzzConfig, index: int) -> tuple[str, int, int, int]:
-    """Decode canonical position into (command, arg_len, instance, step)."""
-    steps = config.mutations + 1
-    per_instance = steps
-    per_len = config.instances * per_instance
-    per_command = (config.max_arg_len + 1) * per_len
-    command = config.commands[index // per_command]
-    rem = index % per_command
-    arg_len = rem // per_len
-    rem %= per_len
-    instance = rem // per_instance
-    step = rem % per_instance
-    return command, arg_len, instance, step
 
 
 def save_collection(collection: FuzzCollection, path) -> None:
@@ -365,4 +301,7 @@ def save_collection(collection: FuzzCollection, path) -> None:
 
 def load_collection(path) -> FuzzCollection:
     with open(path, "rb") as fh:
-        return read_collection(fh)
+        try:
+            return read_collection(fh)
+        except ParseError as exc:
+            raise ParseError(exc.reason, exc.line_no, exc.column, path) from None

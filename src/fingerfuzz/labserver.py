@@ -25,6 +25,9 @@ ACTIONS = ("REPLY", "MULTI", "DROP", "SILENCE", "DELAY")
 
 _RULE_COMMAND_RE = re.compile(r"^([A-Z]{3,8}|\*)$")
 
+# seconds a connection may stay silent before the server closes it
+IDLE_TIMEOUT = 60.0
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -143,12 +146,10 @@ def apply_rules(script: ServerScript, request: bytes) -> tuple[str, bytes | None
 class LabServer:
     """Threaded listener; every connection evaluates the script independently."""
 
-    def __init__(self, script: ServerScript, host: str = "127.0.0.1", port: int = 0,
-                 idle_timeout: float = 60.0):
+    def __init__(self, script: ServerScript, host: str = "127.0.0.1", port: int = 0):
         self.script = script
         self.host = host
         self.port = port
-        self.idle_timeout = idle_timeout
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._stopping = threading.Event()
@@ -203,7 +204,7 @@ class LabServer:
 
     def _handle(self, conn: socket.socket, peer) -> None:
         script = self.script
-        conn.settimeout(self.idle_timeout)
+        conn.settimeout(IDLE_TIMEOUT)
         try:
             conn.sendall(render_reply(script.greeting_code, script.greeting_text))
             login_state = "user"

@@ -3,7 +3,7 @@
 The resulting fingerprint holds one observation per collection record, in
 order.  The scan is cut into runs: index ranges whose first request goes
 out on a fresh login.  The queue of runs starts with the segments of one
-command block each (the per-command length of the collection's config; a
+command block each (`FuzzConfig.block_length` of the collection's config; a
 reduced collection is cut into runs of the same length), so the
 fingerprint depends only on the `.fc` file, and state left by fuzzed USER,
 PASS or REIN requests does not leak into the next block.  Up to
@@ -68,12 +68,6 @@ class Fingerprint:
     fp_version: int = FP_VERSION
 
 
-def segment_length(collection: FuzzCollection) -> int:
-    """Records per command block of the collection's config."""
-    config = collection.config
-    return (config.max_arg_len + 1) * config.instances * (config.mutations + 1)
-
-
 def fingerprint_target(
     collection: FuzzCollection,
     target: TargetSpec,
@@ -87,7 +81,7 @@ def fingerprint_target(
     `delay` is the pause after each request of one session.
     """
     session, login_obs = _open(target)
-    step = segment_length(collection)
+    step = collection.config.block_length
     count = len(collection.records)
     try:
         observations = _SessionPool(
@@ -372,4 +366,7 @@ def save_fingerprint(fp: Fingerprint, path) -> None:
 
 def load_fingerprint(path) -> Fingerprint:
     with open(path, "rb") as fh:
-        return read_fingerprint(fh)
+        try:
+            return read_fingerprint(fh)
+        except ParseError as exc:
+            raise ParseError(exc.reason, exc.line_no, exc.column, path) from None

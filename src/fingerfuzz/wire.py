@@ -10,6 +10,7 @@ so a scan always stays positionally aligned with the request collection.
 from __future__ import annotations
 
 import socket
+import threading
 import time
 from dataclasses import dataclass
 
@@ -79,8 +80,11 @@ class TargetSpec:
     def __post_init__(self):
         if not 1 <= self.port <= 65535:
             raise ValueError("port must be in 1..65535")
-        if self.reply_timeout <= 0 or self.drain_window <= 0 or self.connect_timeout <= 0:
-            raise ValueError("timeouts must be positive")
+        for name in ("reply_timeout", "drain_window", "connect_timeout"):
+            # NaN fails the comparison too; socket and thread waits refuse longer
+            if not 0 < getattr(self, name) <= threading.TIMEOUT_MAX:
+                raise ValueError(f"{name} must be a number of seconds in "
+                                 f"(0, {threading.TIMEOUT_MAX:.0f}]")
         if self.drain_window >= self.reply_timeout:
             raise ValueError("drain_window must be smaller than reply_timeout")
         if not 1 <= self.sessions <= MAX_SESSIONS:
@@ -101,10 +105,9 @@ class ReplyAccumulator:
     classify streams that ended without a decision.
     """
 
-    def __init__(self, max_bytes: int = MAX_REPLY_BYTES):
+    def __init__(self):
         self._buffer = bytearray()
         self._consumed = 0
-        self._max_bytes = max_bytes
         self._opener: ReplyObservation | None = None
         self._got_any = False
 
@@ -115,7 +118,7 @@ class ReplyAccumulator:
         while True:
             newline = self._buffer.find(b"\n")
             if newline < 0:
-                if len(self._buffer) + self._consumed > self._max_bytes:
+                if len(self._buffer) + self._consumed > MAX_REPLY_BYTES:
                     return GBL
                 return None
             line = bytes(self._buffer[:newline]).rstrip(b"\r")
@@ -124,7 +127,7 @@ class ReplyAccumulator:
             decision = self._take_line(line)
             if decision is not None:
                 return decision
-            if self._consumed > self._max_bytes:
+            if self._consumed > MAX_REPLY_BYTES:
                 return GBL
 
     def _take_line(self, line: bytes) -> ReplyObservation | None:
@@ -171,19 +174,18 @@ class FtpSession:
                 pass
             self._sock = None
 
-    def login(self, username: str | None = None, password: str | None = None):
-        """USER/PASS handshake; success is a final 230 (or 202) reply.
+    def login(self):
+        """USER/PASS handshake with the target's credentials; success is a
+        final 230 (or 202) reply.
 
         Returns (user_reply, pass_reply-or-None); raises LoginError on any
         other outcome, carrying both observations.
         """
-        user = username if username is not None else self.target.username
-        pwd = password if password is not None else self.target.password
-        user_reply = self.exchange(f"USER {user}".encode("latin-1"))
+        user_reply = self.exchange(f"USER {self.target.username}".encode("latin-1"))
         pass_reply = None
         final = user_reply
         if user_reply in ("331", "332"):
-            pass_reply = self.exchange(f"PASS {pwd}".encode("latin-1"))
+            pass_reply = self.exchange(f"PASS {self.target.password}".encode("latin-1"))
             final = pass_reply
         if final in ("230", "202"):
             return user_reply, pass_reply

@@ -37,6 +37,27 @@ def mixed_observations(chooser, tokens) -> tuple[ReplyObservation, ...]:
     )
 
 
+def layout(config, index: int) -> tuple[str, int, int]:
+    """(command, argument length, mutation step) of request `index` of a full
+    collection, from the canonical order alone."""
+    forms = config.mutations + 1
+    within = index % config.block_length
+    return (config.commands[index // config.block_length],
+            within // (config.instances * forms), within % forms)
+
+
+def is_base(config, record) -> bool:
+    """Whether the record is an unmutated base request: its block's command,
+    alone or with a printable argument of the length its index gives."""
+    command, arg_len, _ = layout(config, record.index)
+    head = command.encode("ascii")
+    if arg_len == 0:
+        return record.bytes == head
+    arg = record.bytes[len(head) + 1:]
+    return (record.bytes.startswith(head + b" ") and len(arg) == arg_len
+            and all(0x20 <= b <= 0x7E for b in arg))
+
+
 def constant_script(name: str = "constant", code: int = 502) -> ServerScript:
     return ServerScript(name=name, default_code=code, default_text="nope")
 

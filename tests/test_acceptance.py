@@ -39,6 +39,8 @@ from fingerfuzz.wire import (
     TargetSpec,
 )
 
+from conftest import layout
+
 
 @contextmanager
 def criterion(number: int, summary: str):
@@ -152,12 +154,13 @@ def test_criterion_6_lab_discrimination_formula(lab_factory):
         collection = build_collection(config)
         total = len(collection.records)
         per_command = (config.max_arg_len + 1) * config.instances
-        assert total == 918 and per_command == 34
+        assert total == 918 and per_command == 34 == config.block_length
 
         changed = "SYST"
         for record in collection.records:
             token = record.bytes.split(b" ", 1)[0]
-            assert (token == changed.encode()) == (record.command == changed)
+            assert (token == changed.encode()) == (
+                config.commands[record.index // config.block_length] == changed)
 
         shared = (Rule("NOOP", "ANY", "REPLY", code=200, text="ok"),)
         script_a = ServerScript(
@@ -287,9 +290,10 @@ def test_criterion_10_drop_timeout_alignment(lab_factory):
         )
         assert len(fp.observations) == len(collection.records)
         for record, obs in zip(collection.records, fp.observations):
-            if record.command == "QUIT":
+            command = layout(collection.config, record.index)[0]
+            if command == "QUIT":
                 assert obs == DRP
-            elif record.command == "REIN":
+            elif command == "REIN":
                 assert obs == TMO
             else:
                 assert obs == "200"

@@ -14,7 +14,7 @@ from fingerfuzz.fuzzgen import FuzzConfig, build_collection, load_collection, sa
 from fingerfuzz.labserver import Rule, ServerScript, save_script
 from fingerfuzz.scanner import load_fingerprint, save_fingerprint
 
-from conftest import constant_script
+from conftest import constant_script, is_base
 from test_scanner import predict_token
 
 FAST_SCAN = ["--timeout", "0.25", "--drain-window", "0.01"]
@@ -49,8 +49,8 @@ def test_generate_base_only(tmp_path):
     assert main(["generate", "--max-len", "2", "--mutations", "0",
                  "--instances", "1", "-o", str(out)]) == 0
     collection = load_collection(out)
-    assert len(collection.records) == 27 * 3
-    assert all(r.step == 0 for r in collection.records)
+    assert len(collection.records) == 27 * 3 and collection.config.block_length == 3
+    assert all(is_base(collection.config, r) for r in collection.records)
 
 
 def test_generate_rejects_negative_max_len(tmp_path):
@@ -238,6 +238,31 @@ def test_scan_rejects_bad_session_count(tmp_path, tiny_fc, lab_factory, sessions
     assert server.connections == 0
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--timeout", "nan"], "reply_timeout"), (["--timeout", "inf"], "reply_timeout"),
+    (["--timeout", "1e300"], "reply_timeout"), (["--drain-window", "nan"], "drain_window"),
+    (["--drain-window", "inf"], "drain_window"), (["--drain-window", "-0.1"], "drain_window"),
+    (["--delay", "nan"], "--delay"), (["--delay", "inf"], "--delay"),
+    (["--delay", "1e300"], "--delay"), (["--delay", "-1"], "--delay"),
+])
+def test_scan_refuses_timing_no_wait_can_take(tmp_path, tiny_fc, lab_factory, capsys,
+                                              flags, named):
+    # refused as usage errors before the collection is read: an absent
+    # collection file would otherwise fail first, with exit 1
+    server = lab_factory(constant_script("unused", 200))
+    for collection in (tmp_path / "absent.fc", tiny_fc):
+        try:
+            code = main(["scan", "--collection", str(collection), "--host", "127.0.0.1",
+                         "--port", str(server.port), *FAST_SCAN, *flags,
+                         "-o", str(tmp_path / "x.fp")])
+        except SystemExit as exc:  # argparse refuses --delay
+            code = exc.code
+        assert code == 2
+        assert named in capsys.readouterr().err
+    assert server.connections == 0
+    assert not (tmp_path / "x.fp").exists()
+
+
 def test_scan_one_session_gives_the_same_fingerprint(tmp_path, tiny_fc, lab_factory):
     server = lab_factory(ServerScript(
         name="scanme", rules=(Rule("NOOP", "ANY", "REPLY", code=200, text="ok"),)))
@@ -406,6 +431,29 @@ def test_match_reads_the_probe_before_the_database(tmp_path, capsys):
                  "--fingerprint", str(probe)]) == 1
     err = capsys.readouterr().err
     assert "not a directory" not in err and "line 2" in err
+
+
+def test_load_errors_name_the_file(tmp_path, match_fixture, tiny_fc, capsys):
+    db_dir, probe = match_fixture
+    bad = db_dir / "zeta.fp"
+    bad.write_text("#fp-version 2\nnot a header\n")
+    reason = "line 2: expected a '#' header line before '#login'"
+    assert main(["match", "--db", str(db_dir), "--matrix"]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+    assert main(["match", "--db", str(db_dir), "--fingerprint", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+    # a collection names the line and the column of a bad escape
+    lines = tiny_fc.read_bytes().split(b"\n")
+    assert lines[8] == b"NOOP"
+    lines[8] = b"NO\\x4fP"
+    bad_fc = tmp_path / "bad.fc"
+    bad_fc.write_bytes(b"\n".join(lines))
+    bad.unlink()
+    assert main(["optimize", "--db", str(db_dir), "--collection", str(bad_fc),
+                 "-o", str(tmp_path / "out.fc")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad_fc}: line 9, column 3: not a printable character or "
+        "canonical escape: '\\\\x4f'\n")
 
 
 # --- optimize --------------------------------------------------------------------

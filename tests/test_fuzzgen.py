@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,8 @@ from fingerfuzz.fuzzgen import (
 )
 from fingerfuzz.rng import SplitMix64
 
+from conftest import is_base, layout
+
 PRINTABLE = set(range(0x20, 0x7F))
 
 
@@ -27,14 +30,14 @@ def small_config(**overrides) -> FuzzConfig:
 def test_four_record_example():
     # 1 command * 2 lengths * 1 instance * 2 steps = 4 records
     col = build_collection(small_config())
-    assert len(col.records) == 4
+    assert len(col.records) == 4 and col.config.block_length == 4
     base0, mutant0, base1, mutant1 = col.records
     assert base0.bytes == b"NOOP"
-    assert (base0.command, base0.arg_len, base0.step) == ("NOOP", 0, 0)
-    assert mutant0.step == 1 and mutant0.bytes != base0.bytes
+    assert is_base(col.config, base0) and is_base(col.config, base1)
+    assert mutant0.bytes != base0.bytes
     assert base1.bytes[:5] == b"NOOP " and len(base1.bytes) == 6
     assert base1.bytes[5] in PRINTABLE
-    assert mutant1.step == 1 and mutant1.bytes != base1.bytes
+    assert mutant1.bytes != base1.bytes
 
 
 def test_default_collection_is_pinned():
@@ -48,8 +51,8 @@ def test_default_collection_is_pinned():
 def test_zero_mutations_gives_bases_only():
     cfg = small_config(commands=("NOOP", "SYST"), max_arg_len=2, mutations=0)
     col = build_collection(cfg)
-    assert len(col.records) == 2 * 3
-    assert all(r.step == 0 for r in col.records)
+    assert len(col.records) == 2 * 3 and cfg.block_length == 3
+    assert all(is_base(cfg, r) for r in col.records)
 
 
 def test_generation_is_deterministic():
@@ -75,12 +78,20 @@ def test_cardinality(commands, max_len, instances, mutations):
 
 
 def test_canonical_order():
-    cfg = FuzzConfig(("CWD", "PWD"), 1, 2, 1, seed=3)
-    col = build_collection(cfg)
-    coords = [(r.command, r.arg_len, r.instance, r.step) for r in col.records]
-    assert coords == sorted(
-        coords, key=lambda c: (("CWD", "PWD").index(c[0]), c[1], c[2], c[3])
-    )
+    # command blocks in config order, argument length ascending within a
+    # block, and each base followed by its mutants
+    for cfg in (FuzzConfig(("CWD", "PWD"), 1, 2, 1, seed=3),
+                FuzzConfig(("USER", "SITE", "MODE"), 4, 3, 2, seed=8)):
+        col = build_collection(cfg)
+        assert cfg.block_length == (cfg.max_arg_len + 1) * cfg.instances * (cfg.mutations + 1)
+        assert len(col.records) == len(cfg.commands) * cfg.block_length == cfg.record_count()
+        for record in col.records:
+            if layout(cfg, record.index)[2] == 0:  # the mutation step
+                assert is_base(cfg, record), record
+            else:
+                before = col.records[record.index - 1].bytes
+                assert record.bytes != before
+                assert abs(len(record.bytes) - len(before)) <= 1
 
 
 def test_no_line_breaks_anywhere():
@@ -227,6 +238,42 @@ def test_unescape_examples():
 def test_unescape_rejects_malformed(bad):
     with pytest.raises(ParseError):
         unescape_line(bad)
+
+
+@pytest.mark.parametrize("line, column", [
+    ("\\", 1), ("abc\\", 4), ("a\tb", 2), ("ok\\x41", 3), ("\\\\\\q", 3),
+    ("\\x7f\\xFF", 5), ("\\x0", 1),
+])
+def test_unescape_gives_the_column_of_the_first_bad_character(line, column):
+    with pytest.raises(ParseError) as err:
+        unescape_line(line)
+    assert err.value.column == column
+    assert str(err.value).startswith(f"column {column}: ")
+
+
+def test_every_short_line_is_canonical_or_refused():
+    # every string of up to five characters over the characters escapes are
+    # made of: either refused, or the one spelling escape_line writes
+    alphabet = "\\x0178aefF \t"
+    for length in range(6):
+        for chars in itertools.product(alphabet, repeat=length):
+            line = "".join(chars)
+            try:
+                data = unescape_line(line)
+            except ParseError:
+                continue
+            assert escape_line(data) == line
+
+
+def test_every_short_byte_string_round_trips():
+    for length in range(3):
+        for data in map(bytes, itertools.product(range(256), repeat=length)):
+            assert unescape_line(escape_line(data)) == data
+
+
+def test_long_printable_line_decodes():
+    data = (bytes(range(0x20, 0x7F)) * 700)[:65536]
+    assert unescape_line(escape_line(data)) == data
 
 
 def test_codec_round_trip_property():

@@ -1,6 +1,11 @@
-"""Byte-exact outputs of `match` and `optimize` on two seeded databases.
+r"""Byte-exact outputs of `generate`, and of `match` and `optimize` on two
+seeded databases.
 
-Each database holds 30 entries of 600 positions with a fixed `#created`.
+The sha256 of the whole `.fc` file `generate` writes is pinned for the
+default collection and for a small one whose lines hold `\\` and `\xhh`
+escapes, so a change to generation or to the escape codec shows here.
+
+Each match database holds 30 entries of 600 positions with a fixed `#created`.
 The narrow one draws from 24 tokens, the wide one from all 503, so it holds
 more than 256 distinct tokens.  The sha256 of every output is pinned: a
 change to how the matcher stores or counts its database must leave the
@@ -58,6 +63,22 @@ PINS = {
         "indexes-csv": "c5cffa4e9924fe0a3c0dbb269ad872854008478cadd7a39913a6440f981eb02d",
     },
 }
+
+
+GENERATE_PINS = {
+    (): "542424a5780bb6aeafb40f1e95868b26fd940068e77172f63454db07e1135ac9",
+    ("--max-len", "3", "--instances", "2", "--mutations", "4", "--seed", "7"):
+        "3f5662b335d8cc27974f4e09a6250263292a735b221d15b41fda0e6ae831394c",
+}
+
+
+@pytest.mark.parametrize("flags", GENERATE_PINS, ids=["default", "small"])
+def test_generate_output_is_pinned(tmp_path, flags):
+    out = tmp_path / "out.fc"
+    assert main(["generate", *flags, "-o", str(out)]) == 0
+    data = out.read_bytes()
+    assert b"\\\\" in data and b"\\x" in data
+    assert sha(data) == GENERATE_PINS[flags]
 
 
 def fingerprint(digest: str, label: str, tokens) -> Fingerprint:

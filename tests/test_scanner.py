@@ -21,12 +21,11 @@ from fingerfuzz.scanner import (
     load_fingerprint,
     read_fingerprint,
     save_fingerprint,
-    segment_length,
     write_fingerprint,
 )
 from fingerfuzz.wire import BY_TOKEN, DEFAULT_SESSIONS, DRP, GBL, TMO
 
-from conftest import ALL_TOKENS, constant_script, fast_target
+from conftest import ALL_TOKENS, constant_script, fast_target, layout
 
 
 def predict_token(script: ServerScript, request: bytes) -> str:
@@ -96,7 +95,7 @@ def test_drop_rule_keeps_alignment(lab_factory):
     fp = fingerprint_target(collection, fast_target(server.port))
     assert len(fp.observations) == len(collection.records)
     for record, obs in zip(collection.records, fp.observations):
-        if record.command == "QUIT":
+        if layout(collection.config, record.index)[0] == "QUIT":
             assert obs == DRP
         else:
             assert obs == "257"
@@ -109,7 +108,7 @@ def test_silence_rule_records_timeouts(lab_factory):
     server = lab_factory(script)
     fp = fingerprint_target(collection, fast_target(server.port))
     expected = tuple(
-        TMO if r.command == "REIN" else "200"
+        TMO if layout(collection.config, r.index)[0] == "REIN" else "200"
         for r in collection.records
     )
     assert fp.observations == expected
@@ -299,16 +298,19 @@ def body_of(fp: Fingerprint) -> bytes:
 
 def test_segments_are_command_blocks():
     full = tiny_collection(commands=("NOOP", "SYST", "HELP"), max_arg_len=2, mutations=1)
-    assert segment_length(full) == 6
-    assert all(len({r.command for r in full.records[i:i + 6]}) == 1
-               for i in range(0, len(full.records), 6))
-    assert segment_length(build_collection(FuzzConfig())) == 170
+    assert full.config.block_length == 6
+    # every base of block i is the i-th command
+    for i in range(0, len(full.records), 6):
+        command = full.config.commands[i // 6].encode()
+        for base in full.records[i:i + 6:2]:
+            assert base.bytes.split(b" ")[0] == command
+    assert FuzzConfig().block_length == 170
 
 
 def test_each_segment_starts_a_fresh_session(responder_factory):
     commands = DEFAULT_COMMANDS[:12]
     collection = tiny_collection(commands=commands, max_arg_len=2, mutations=1)
-    step = segment_length(collection)
+    step = collection.config.block_length
     expected = tuple(str(200 + i % step) for i in range(len(collection.records)))
     bodies = set()
     for sessions in (1, 8):
@@ -322,7 +324,7 @@ def test_each_segment_starts_a_fresh_session(responder_factory):
 
 def test_many_sessions_under_fast_thread_switching(responder_factory):
     collection = tiny_collection(commands=DEFAULT_COMMANDS, max_arg_len=1, mutations=2)
-    step = segment_length(collection)
+    step = collection.config.block_length
     responder = responder_factory(count_reply)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -386,7 +388,7 @@ def sent_once(responder, collection) -> bool:
 @pytest.mark.parametrize("sessions,limit", [(DEFAULT_SESSIONS, 1), (4, 3)])
 def test_capped_target_shrinks_the_pool(responder_factory, caplog, sessions, limit):
     collection = tiny_collection(commands=DEFAULT_COMMANDS[:9], max_arg_len=1, mutations=1)
-    step = segment_length(collection)
+    step = collection.config.block_length
     uncapped = responder_factory(count_reply)
     reference = fingerprint_target(collection, fast_target(uncapped.port, sessions=1))
     capped = responder_factory(count_reply, limit=limit)
@@ -404,7 +406,7 @@ def test_capped_target_shrinks_the_pool(responder_factory, caplog, sessions, lim
 
 def test_refused_reconnect_after_a_drop_hands_the_rest_back(responder_factory, caplog):
     collection = tiny_collection(commands=("NOOP", "SYST"), max_arg_len=3, mutations=1)
-    step = segment_length(collection)
+    step = collection.config.block_length
 
     def drops_third_syst(n, line):
         if line.startswith(b"SYST") and n == 2:
@@ -429,8 +431,8 @@ def test_refusal_on_the_last_queued_run(responder_factory, caplog):
     # held; it must still take the handed-back rest instead of leaving
     collection = tiny_collection(commands=("NOOP", "SYST", "HELP"), max_arg_len=3,
                                  mutations=1)
-    step = segment_length(collection)
-    last = collection.records[-1].command.encode()
+    step = collection.config.block_length
+    last = collection.config.commands[-1].encode()
 
     def drops_late_in_last_run(n, line):
         if line.startswith(last) and n == step - 2:
@@ -451,7 +453,7 @@ def test_refusal_on_the_last_queued_run(responder_factory, caplog):
 def test_many_sessions_against_a_cap_under_fast_thread_switching(responder_factory,
                                                                    caplog):
     collection = tiny_collection(commands=DEFAULT_COMMANDS, max_arg_len=1, mutations=2)
-    step = segment_length(collection)
+    step = collection.config.block_length
     responder = responder_factory(count_reply, limit=3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -482,7 +484,7 @@ def test_greeting_without_a_code_is_no_refusal(responder_factory, greeting, toke
     fp = fingerprint_target(collection, fast_target(responder.port, sessions=1))
     assert fp.greeting == token
     assert fp.observations == tuple(
-        str(200 + i % segment_length(collection)) for i in range(len(collection.records)))
+        str(200 + i % collection.config.block_length) for i in range(len(collection.records)))
 
 
 # --- fingerprint files -----------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+import threading
 
 import pytest
 
@@ -178,11 +180,24 @@ def test_target_defaults():
         dict(drain_window=6.0),  # >= reply_timeout
         dict(sessions=0),
         dict(sessions=33),
+        # no socket or thread waits this long, or NaN seconds
+        dict(reply_timeout=math.nan),
+        dict(reply_timeout=math.inf),
+        dict(reply_timeout=threading.TIMEOUT_MAX * 2),
+        dict(drain_window=math.nan),
+        dict(connect_timeout=math.nan),
+        dict(connect_timeout=1e300),
     ],
 )
 def test_target_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="|".join(kwargs)):
         TargetSpec("h", **kwargs)
+
+
+def test_target_takes_the_longest_wait():
+    target = TargetSpec("h", reply_timeout=threading.TIMEOUT_MAX,
+                        connect_timeout=threading.TIMEOUT_MAX)
+    assert target.reply_timeout == threading.TIMEOUT_MAX
 
 
 # --- live sessions against the lab responder ------------------------------------
