@@ -324,7 +324,7 @@ def cmd_lab(args) -> int:
         return 2
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(message)s")
-    server = labserver.serve(script, port=args.port)
+    server = labserver.LabServer(script, port=args.port).start()
     print(f"serving '{script.name}' on port {server.port}", flush=True)
     try:
         threading.Event().wait()

@@ -274,10 +274,15 @@ def read_collection(source: BinaryIO) -> FuzzCollection:
         except ParseError as exc:
             raise ParseError(exc.reason, line_no, exc.column) from None
 
-    config = FuzzConfig(
-        headers["commands"], headers["max-arg-len"], headers["instances"],
-        headers["mutations"], headers["seed"], headers["alphabet-excludes"],
-    )
+    try:
+        config = FuzzConfig(
+            headers["commands"], headers["max-arg-len"], headers["instances"],
+            headers["mutations"], headers["seed"], headers["alphabet-excludes"],
+        )
+    except ConfigError as exc:  # max_arg_len is `#max-arg-len`, alphabet `#alphabet-excludes`
+        key = "#" + exc.field.replace("_", "-")
+        line_no = next(n for n, line in enumerate(lines[:start], 1) if line.startswith(key))
+        raise ParseError(str(exc), line_no) from None
 
     stored = headers["digest"]
     actual = body_digest(lines[start:])
@@ -305,3 +310,5 @@ def load_collection(path) -> FuzzCollection:
             return read_collection(fh)
         except ParseError as exc:
             raise ParseError(exc.reason, exc.line_no, exc.column, path) from None
+        except IntegrityError as exc:
+            raise IntegrityError(f"{path}: {exc}") from None

@@ -1,14 +1,16 @@
 """Deterministic scriptable FTP responder for desk-scale experiments.
 
 A script fixes the greeting, the USER/PASS reply codes, an ordered rule
-table, and a default reply.  Replies are a pure function of the request
-line (after the login phase), so repeated scans of the same script always
-produce identical fingerprints; scripts that differ in a few rules stand
-in for distinct server products or versions.
+table, and a default reply.  Each connection runs its own login and then
+the rules in one socket-free `LabSession`, which the tests' scan oracle
+drives too.  After the login, replies are a pure function of the request
+line, so repeated scans of a script give identical fingerprints; scripts
+that differ in a few rules stand in for distinct products or versions.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import re
 import socket
@@ -118,29 +120,47 @@ def render_multiline(code: int, lines: tuple[str, ...]) -> bytes:
     return "\r\n".join(parts).encode("latin-1") + b"\r\n"
 
 
-def match_rule(script: ServerScript, request: bytes) -> Rule | None:
-    """The first matching rule, or None where the default reply applies."""
+def _rule_reply(script: ServerScript, request: bytes) -> tuple[str, bytes | None, float]:
+    """(action, wire bytes or None, seconds to wait before sending) of the
+    first matching rule, or of the default reply where none matches."""
     for rule in script.rules:
         if rule.matches(request):
-            return rule
-    return None
-
-
-def _outcome(script: ServerScript, rule: Rule | None) -> tuple[str, bytes | None]:
-    """(action, wire bytes or None) of a rule from match_rule."""
-    if rule is None:
-        return "DEFAULT", render_reply(script.default_code, script.default_text)
-    if rule.action in ("REPLY", "DELAY"):
-        return rule.action, render_reply(rule.code, rule.text)
-    if rule.action == "MULTI":
-        return "MULTI", render_multiline(rule.code, rule.lines)
-    return rule.action, None
+            if rule.action in ("REPLY", "DELAY"):
+                return rule.action, render_reply(rule.code, rule.text), rule.delay_ms / 1000
+            if rule.action == "MULTI":
+                return "MULTI", render_multiline(rule.code, rule.lines), 0.0
+            return rule.action, None, 0.0
+    return "DEFAULT", render_reply(script.default_code, script.default_text), 0.0
 
 
 def apply_rules(script: ServerScript, request: bytes) -> tuple[str, bytes | None]:
     """First matching rule wins; returns (action, wire bytes or None).  A
     DELAY rule's bytes are its reply, which the server sends late."""
-    return _outcome(script, match_rule(script, request))
+    return _rule_reply(script, request)[:2]
+
+
+class LabSession:
+    """One connection's behaviour, without its socket: `greeting`, then the
+    login (USER, and PASS unless the USER code is final), then the rules.  A
+    line other than the awaited login command goes to the rules and leaves
+    the login where it was."""
+
+    def __init__(self, script: ServerScript):
+        self.script = script
+        self.greeting = render_reply(script.greeting_code, script.greeting_text)
+        self._awaiting: bytes | None = b"USER"  # None once logged in
+
+    def respond(self, line: bytes) -> tuple[str, bytes | None, float]:
+        """(action as logged, wire bytes or None, seconds to wait before
+        sending) for one request line; DROP closes the connection."""
+        script = self.script
+        if self._awaiting is None or line.partition(b" ")[0].upper() != self._awaiting:
+            return _rule_reply(script, line)
+        if self._awaiting == b"USER":
+            self._awaiting = b"PASS" if script.user_code in (331, 332) else None
+            return f"login USER {script.user_code}", render_reply(script.user_code, "ok"), 0.0
+        self._awaiting = None
+        return f"login PASS {script.pass_code}", render_reply(script.pass_code, "ok"), 0.0
 
 
 class LabServer:
@@ -164,7 +184,6 @@ class LabServer:
         except OSError:
             listener.close()
             raise
-        listener.settimeout(0.2)
         self._listener = listener
         self.port = listener.getsockname()[1]
         self._accept_thread = threading.Thread(
@@ -175,6 +194,11 @@ class LabServer:
 
     def stop(self) -> None:
         self._stopping.set()
+        if self._listener is not None:
+            try:  # on Linux this wakes the blocked accept at once
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
             self._accept_thread = None
@@ -191,69 +215,38 @@ class LabServer:
     def _accept_loop(self) -> None:
         while not self._stopping.is_set():
             try:
-                conn, peer = self._listener.accept()
-            except socket.timeout:
-                continue
+                conn, _ = self._listener.accept()
             except OSError:
                 return
             self.connections += 1
-            thread = threading.Thread(
-                target=self._handle, args=(conn, peer), daemon=True
-            )
-            thread.start()
+            threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
 
-    def _handle(self, conn: socket.socket, peer) -> None:
-        script = self.script
-        conn.settimeout(IDLE_TIMEOUT)
-        try:
-            conn.sendall(render_reply(script.greeting_code, script.greeting_text))
-            login_state = "user"
+    def _handle(self, conn: socket.socket) -> None:
+        session = LabSession(self.script)
+        # any OSError, the idle timeout too, ends the connection
+        with conn, contextlib.suppress(OSError):
+            conn.settimeout(IDLE_TIMEOUT)
+            conn.sendall(session.greeting)
             buffer = bytearray()
             while not self._stopping.is_set():
                 newline = buffer.find(b"\n")
                 if newline < 0:
-                    try:
-                        chunk = conn.recv(4096)
-                    except socket.timeout:
-                        return
+                    chunk = conn.recv(4096)
                     if not chunk:
                         return
                     buffer.extend(chunk)
                     continue
                 line = bytes(buffer[:newline]).rstrip(b"\r")
                 del buffer[: newline + 1]
-                head = line.split(b" ", 1)[0].upper()
-                if login_state == "user" and head == b"USER":
-                    log.info("%s %r -> login USER %d", script.name, line, script.user_code)
-                    conn.sendall(render_reply(script.user_code, "ok"))
-                    login_state = "pass" if script.user_code in (331, 332) else "done"
-                    continue
-                if login_state == "pass" and head == b"PASS":
-                    log.info("%s %r -> login PASS %d", script.name, line, script.pass_code)
-                    conn.sendall(render_reply(script.pass_code, "ok"))
-                    login_state = "done"
-                    continue
-                rule = match_rule(script, line)
-                action, payload = _outcome(script, rule)
-                log.info("%s %r -> %s", script.name, line, action)
+                action, payload, delay = session.respond(line)
+                log.info("%s %r -> %s", self.script.name, line, action)
                 if action == "DROP":
                     return
-                if action == "SILENCE":
+                if payload is None:
                     continue
-                if action == "DELAY" and self._stopping.wait(rule.delay_ms / 1000):
+                if delay and self._stopping.wait(delay):
                     return
                 conn.sendall(payload)
-        except OSError:
-            pass
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-
-def serve(script: ServerScript, port: int = 0, host: str = "127.0.0.1") -> LabServer:
-    return LabServer(script, host=host, port=port).start()
 
 
 # Script file grammar, ASCII only, one directive per line:

@@ -2,8 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from fingerfuzz.labserver import LabServer, ServerScript
-from fingerfuzz.wire import ReplyObservation, TargetSpec
+from fingerfuzz.labserver import LabServer, LabSession, ServerScript
+from fingerfuzz.wire import (
+    ANONYMOUS_PASSWORD,
+    ANONYMOUS_USER,
+    DRP,
+    TMO,
+    ReplyObservation,
+    TargetSpec,
+)
 
 # Short client timeouts keep lab-server tests fast; SILENCE rules still
 # register as timeouts well within these windows.
@@ -56,6 +63,36 @@ def is_base(config, record) -> bool:
     arg = record.bytes[len(head) + 1:]
     return (record.bytes.startswith(head + b" ") and len(arg) == arg_len
             and all(0x20 <= b <= 0x7E for b in arg))
+
+
+def lab_oracle(script: ServerScript, collection) -> tuple[str, ...]:
+    """The tokens a scan of `collection` at FAST_REPLY_TIMEOUT must record
+    against a LabServer of `script`, by the scanner's documented rules.  Each
+    run of one command block (`index // block_length`) starts on a fresh
+    session and login, and so does the rest of a run after a DRP or TMO.
+    Silence, or a delay at or above the reply timeout, is TMO; a drop is DRP;
+    any other reply is its code.  It drives the target's own LabSession, not
+    the scanner's code."""
+    block = collection.config.block_length
+    tokens = []
+    session = run = None
+    for record in collection.records:
+        if session is None or record.index // block != run:
+            run = record.index // block
+            session = LabSession(script)
+            _, reply, _ = session.respond(f"USER {ANONYMOUS_USER}".encode("ascii"))
+            if reply[:3] in (b"331", b"332"):
+                session.respond(f"PASS {ANONYMOUS_PASSWORD}".encode("ascii"))
+        action, reply, delay = session.respond(record.bytes)
+        if action == "DROP":
+            tokens.append(DRP)
+        elif reply is None or delay >= FAST_REPLY_TIMEOUT:
+            tokens.append(TMO)
+        else:
+            tokens.append(reply[:3].decode("ascii"))
+            continue
+        session = None
+    return tuple(tokens)
 
 
 def constant_script(name: str = "constant", code: int = 502) -> ServerScript:

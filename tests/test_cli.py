@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from fingerfuzz.cli import main
+from fingerfuzz.errors import IntegrityError
 from fingerfuzz.fuzzgen import FuzzConfig, build_collection, load_collection, save_collection
 from fingerfuzz.labserver import Rule, ServerScript, save_script
 from fingerfuzz.scanner import load_fingerprint, save_fingerprint
@@ -454,6 +455,26 @@ def test_load_errors_name_the_file(tmp_path, match_fixture, tiny_fc, capsys):
     assert capsys.readouterr().err == (
         f"error: {bad_fc}: line 9, column 3: not a printable character or "
         "canonical escape: '\\\\x4f'\n")
+    # a bad header value names the file and its line, a digest mismatch the file
+    lines[8] = b"NOOP"
+    assert lines[4] == b"#instances 1"
+    lines[4] = b"#instances 0"
+    bad_fc.write_bytes(b"\n".join(lines))
+    assert main(["optimize", "--db", str(db_dir), "--collection", str(bad_fc),
+                 "-o", str(tmp_path / "out.fc")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad_fc}: line 5: invalid config field 'instances': must be >= 1\n")
+    lines[4] = b"#instances 1"
+    digest = load_collection(tiny_fc).digest
+    assert lines[7] == f"#digest {digest}".encode()
+    lines[7] = b"#digest 00"
+    bad_fc.write_bytes(b"\n".join(lines))
+    assert main(["optimize", "--db", str(db_dir), "--collection", str(bad_fc),
+                 "-o", str(tmp_path / "out.fc")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad_fc}: digest mismatch: header 00, body {digest}\n")
+    with pytest.raises(IntegrityError):
+        load_collection(bad_fc)
 
 
 # --- optimize --------------------------------------------------------------------

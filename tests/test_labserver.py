@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import os
+import random
 import socket
 
 import pytest
 
 from fingerfuzz.errors import ParseError
+from fingerfuzz.fuzzgen import FuzzConfig, build_collection
 from fingerfuzz.labserver import (
     LabServer,
+    LabSession,
     Rule,
     ServerScript,
     apply_rules,
@@ -14,10 +18,10 @@ from fingerfuzz.labserver import (
     render_multiline,
     render_reply,
     save_script,
-    serve,
 )
+from fingerfuzz.scanner import fingerprint_target
 
-from conftest import constant_script
+from conftest import constant_script, fast_target, lab_oracle
 
 SCRIPT_TEXT = """\
 # toy product emulation
@@ -180,6 +184,52 @@ def test_every_scripted_reply_parses_to_its_code():
         assert decision == str(expected_code)
 
 
+# --- one connection's session ---------------------------------------------------
+
+def test_session_line_before_user_hits_rules_and_keeps_login():
+    session = LabSession(load_script(SCRIPT_TEXT))
+    assert session.greeting == b"220 toy ready\r\n"
+    assert session.respond(b"NOOP") == ("REPLY", b"200 ok\r\n", 0.0)
+    assert session.respond(b"user anonymous") == ("login USER 331", b"331 ok\r\n", 0.0)
+
+
+def test_session_pass_before_user_hits_rules():
+    session = LabSession(load_script(SCRIPT_TEXT))
+    assert session.respond(b"PASS x") == ("DEFAULT", b"502 not implemented\r\n", 0.0)
+    assert session.respond(b"USER u")[0] == "login USER 331"
+    # awaiting PASS, a second USER goes to the rules as well
+    assert session.respond(b"USER v")[0] == "DEFAULT"
+    assert session.respond(b"PASS p") == ("login PASS 230", b"230 ok\r\n", 0.0)
+
+
+def test_session_final_user_code_skips_pass():
+    session = LabSession(ServerScript(name="open", user_code=230, default_code=502,
+                                      default_text="nope"))
+    assert session.respond(b"USER u") == ("login USER 230", b"230 ok\r\n", 0.0)
+    assert session.respond(b"PASS p") == ("DEFAULT", b"502 nope\r\n", 0.0)
+
+
+def test_session_user_after_login_hits_rules():
+    session = LabSession(constant_script(code=502))
+    session.respond(b"USER u")
+    session.respond(b"PASS p")
+    assert session.respond(b"USER again") == ("DEFAULT", b"502 nope\r\n", 0.0)
+
+
+def test_session_delay_returns_its_delay():
+    session = LabSession(load_script(
+        "name slow\nrule SYST ANY DELAY:150:215:late\ndefault 502 no\n"))
+    assert session.respond(b"SYST") == ("DELAY", b"215 late\r\n", 0.15)
+
+
+def test_session_drop_and_silence_send_nothing():
+    script = ServerScript(name="q", rules=(Rule("QUIT", "ANY", "DROP"),
+                                           Rule("REIN", "ANY", "SILENCE")))
+    session = LabSession(script)
+    assert session.respond(b"QUIT") == ("DROP", None, 0.0)
+    assert session.respond(b"REIN") == ("SILENCE", None, 0.0)
+
+
 # --- live server behaviour ------------------------------------------------------
 
 def raw_session(port: int) -> socket.socket:
@@ -287,10 +337,62 @@ def test_port_in_use_raises():
     holder.listen(1)
     port = holder.getsockname()[1]
     with pytest.raises(OSError):
-        serve(constant_script(), port=port)
+        LabServer(constant_script(), port=port).start()
     holder.close()
 
 
 def test_invalid_script_rejected_at_start():
     with pytest.raises(ValueError):
         LabServer(ServerScript(name="bad", default_code=99))
+
+
+# --- scans against random scripts ----------------------------------------------
+
+# CI sweeps more seeds through this variable; tier-1 keeps a few
+CONFORMANCE_SEEDS = int(os.environ.get("LAB_CONFORMANCE_SEEDS", "3"))
+CONFORMANCE_CONFIG = FuzzConfig(commands=("USER", "NOOP", "SYST", "FEAT"), max_arg_len=2,
+                                instances=2, mutations=2, seed=7)
+
+
+def random_script(rng: random.Random) -> ServerScript:
+    """3-8 rules over every action.  SILENCE waits out the reply timeout, so
+    it gets a named command and a rare predicate: an empty argument, or one
+    longer than any unmutated argument."""
+    commands = CONFORMANCE_CONFIG.commands
+    rules = []
+    for n in range(rng.randint(3, 8)):
+        action = rng.choices(("REPLY", "MULTI", "DROP", "DELAY", "SILENCE"),
+                             weights=(4, 2, 2, 2, 1))[0]
+        if action == "SILENCE":
+            command = rng.choice(commands)
+            predicate = rng.choice(("EMPTY", "LEN_GT"))
+        else:
+            command = rng.choice(commands + ("*",))
+            predicate = rng.choice(("ANY", "LEN_GT", "NONPRINT", "EMPTY"))
+        fields = {}
+        if predicate == "LEN_GT":
+            fields["length_gt"] = (CONFORMANCE_CONFIG.max_arg_len if action == "SILENCE"
+                                   else rng.randint(0, 3))
+        if action in ("REPLY", "MULTI", "DELAY"):
+            fields["code"] = rng.randint(100, 599)
+        if action in ("REPLY", "DELAY"):
+            fields["text"] = f"r{n}"
+        if action == "MULTI":
+            fields["lines"] = tuple(f"m{n}-{i}" for i in range(rng.randint(1, 3)))
+        if action == "DELAY":
+            fields["delay_ms"] = rng.randint(0, 20)
+        rules.append(Rule(command, predicate, action, **fields))
+    return ServerScript(name="random", user_code=rng.choice((331, 332, 230)),
+                        pass_code=rng.choice((230, 202)), rules=tuple(rules),
+                        default_code=rng.randint(100, 599))
+
+
+@pytest.mark.parametrize("sessions", (1, 4))
+@pytest.mark.parametrize("seed", range(CONFORMANCE_SEEDS))
+def test_scan_of_random_script_equals_session_oracle(seed, sessions, lab_factory):
+    script = random_script(random.Random(seed))
+    collection = build_collection(CONFORMANCE_CONFIG)
+    server = lab_factory(script)
+    fp = fingerprint_target(collection, fast_target(server.port, drain_window=0.002,
+                                                    sessions=sessions))
+    assert fp.observations == lab_oracle(script, collection), save_script(script)
