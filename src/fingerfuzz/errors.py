@@ -35,15 +35,6 @@ class ConnectError(FingerfuzzError):
     """TCP connection to the target could not be established."""
 
 
-class LoginError(FingerfuzzError):
-    """FTP login was rejected; carries the observed replies."""
-
-    def __init__(self, message: str, user_reply=None, pass_reply=None):
-        super().__init__(message)
-        self.user_reply = user_reply
-        self.pass_reply = pass_reply
-
-
 class TransportError(FingerfuzzError):
     """Local I/O failure on an open session (distinct from sentinel replies)."""
 

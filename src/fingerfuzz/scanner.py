@@ -12,12 +12,14 @@ other connection: a refused login opens no second one.
 
 Within a run, a dropped connection is itself recorded as an observation;
 the rest of the run then goes out on a fresh login, so that later
-positions stay aligned with their requests.  A timeout is handled the same
-way, because a reply that arrives late would otherwise be read as the
-answer to the next request.  When the target refuses a fresh session
-while other sessions still work (servers cap connections per address), the
-refused one hands its unsent rest back to the queue and retires, so the
-pool shrinks to what the target admits and no request is sent twice.
+positions stay aligned with their requests.  A timeout (TMO) and a reply
+cut off by the timeout (GBL) are handled the same way, because the late
+reply or its rest would otherwise be read as the answer to the next
+request.  A cut-off greeting refuses the scan.  When the target refuses a
+fresh session while other sessions still work (servers cap connections per
+address), the refused one hands its unsent rest back to the queue and
+retires, so the pool shrinks to what the target admits and no request is
+sent twice.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from typing import BinaryIO
 from . import wire
 from .errors import (
     ConnectError,
-    LoginError,
     ParseError,
     PartialScanError,
     ScanRefusedError,
@@ -104,7 +105,8 @@ def _open(target: TargetSpec) -> tuple[FtpSession, tuple[ReplyObservation, ...]]
     """A logged-in session and its login replies.
 
     Raises ScanRefusedError when the greeting turns the connection away
-    (a 4xx or 5xx code, or the connection closed) or the login is rejected.
+    (a 4xx or 5xx code, or a closed session: the connection ended or the
+    greeting was cut off) or the login is rejected.
     """
     session = wire.connect(target)
     try:
@@ -113,15 +115,7 @@ def _open(target: TargetSpec) -> tuple[FtpSession, tuple[ReplyObservation, ...]]
             raise ScanRefusedError(
                 f"{target.descriptor} refused the connection (greeting {greeting})"
             )
-        try:
-            user_reply, pass_reply = session.login()
-        except LoginError as exc:
-            raise ScanRefusedError(
-                f"{target.descriptor} refused login ({exc}); "
-                "unauthenticated servers are indistinguishable",
-                exc.user_reply,
-                exc.pass_reply,
-            ) from exc
+        user_reply, pass_reply = session.login()
     except BaseException:
         session.close()
         raise

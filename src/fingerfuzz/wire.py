@@ -5,16 +5,24 @@ replies.  Every exchange yields exactly one observation, which is its
 three-character token: a status code "100".."599", or one of three fault
 sentinels, TMO (timeout), DRP (connection dropped) or GBL (garbled data),
 so a scan always stays positionally aligned with the request collection.
+
+A read ends in one of three ways.  A decision (a reply, or garbage: GBL)
+is followed by a drain window that discards stray bytes; the session stays
+open.  The end of the connection, a reset included, gives DRP and closes
+the session.  The reply timeout gives TMO if nothing arrived, and the
+session stays open; a reply cut off by it gives GBL and closes the session,
+whose rest would otherwise be read as the next reply.
 """
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
 import time
 from dataclasses import dataclass
 
-from .errors import ConnectError, LoginError, TransportError
+from .errors import ConnectError, ScanRefusedError, TransportError
 
 DEFAULT_PORT = 21
 ANONYMOUS_USER = "anonymous"
@@ -109,11 +117,8 @@ class ReplyAccumulator:
         self._buffer = bytearray()
         self._consumed = 0
         self._opener: ReplyObservation | None = None
-        self._got_any = False
 
     def feed(self, chunk: bytes) -> ReplyObservation | None:
-        if chunk:
-            self._got_any = True
         self._buffer.extend(chunk)
         while True:
             newline = self._buffer.find(b"\n")
@@ -146,27 +151,24 @@ class ReplyAccumulator:
         return GBL
 
     def finish_timeout(self) -> ReplyObservation:
-        return GBL if self._got_any else TMO
+        return GBL if self._consumed or self._buffer else TMO
 
     def finish_eof(self) -> ReplyObservation:
         return DRP
 
 
 class FtpSession:
-    """One sequential control connection; one outstanding request at a time."""
+    """One sequential control connection; one outstanding request at a time.
+    Constructing it reads the greeting."""
 
-    def __init__(self, target: TargetSpec, sock: socket.socket, greeting: ReplyObservation):
+    def __init__(self, target: TargetSpec, sock: socket.socket):
         self.target = target
         self._sock = sock
-        self.greeting = greeting
-        self._alive = True
-
-    @property
-    def alive(self) -> bool:
-        return self._alive
+        self.alive = True
+        self.greeting = self._read_reply()
 
     def close(self) -> None:
-        self._alive = False
+        self.alive = False
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -178,26 +180,27 @@ class FtpSession:
         """USER/PASS handshake with the target's credentials; success is a
         final 230 (or 202) reply.
 
-        Returns (user_reply, pass_reply-or-None); raises LoginError on any
-        other outcome, carrying both observations.
+        Returns (user_reply, pass_reply-or-None); raises ScanRefusedError on
+        any other outcome, carrying both observations.
         """
         user_reply = self.exchange(f"USER {self.target.username}".encode("latin-1"))
         pass_reply = None
-        final = user_reply
         if user_reply in ("331", "332"):
             pass_reply = self.exchange(f"PASS {self.target.password}".encode("latin-1"))
-            final = pass_reply
+        final = pass_reply or user_reply
         if final in ("230", "202"):
             return user_reply, pass_reply
-        raise LoginError(
-            f"login rejected ({final})", user_reply, pass_reply
+        raise ScanRefusedError(
+            f"{self.target.descriptor} refused login ({final}); "
+            "unauthenticated servers are indistinguishable",
+            user_reply, pass_reply,
         )
 
     def exchange(self, request: bytes) -> ReplyObservation:
         """Send one request line and read exactly one reply observation."""
         if b"\r" in request or b"\n" in request:
             raise ValueError("request must not contain CR or LF")
-        if not self._alive:
+        if not self.alive:
             raise TransportError("session is closed")
         try:
             self._sock.sendall(request + b"\r\n")
@@ -209,52 +212,46 @@ class FtpSession:
             raise TransportError(f"send failed: {exc}") from exc
         return self._read_reply()
 
+    def _recv(self, deadline: float) -> bytes | None:
+        """The next chunk; None once the deadline passes; b"" once the
+        connection has ended, which closes the session."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return None
+        self._sock.settimeout(remaining)
+        try:
+            chunk = self._sock.recv(4096)
+        except socket.timeout:
+            return None
+        except ConnectionError:
+            chunk = b""
+        except OSError as exc:
+            self.close()
+            raise TransportError(f"receive failed: {exc}") from exc
+        if not chunk:
+            self.close()
+        return chunk
+
     def _read_reply(self) -> ReplyObservation:
         acc = ReplyAccumulator()
         deadline = time.monotonic() + self.target.reply_timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return acc.finish_timeout()
-            self._sock.settimeout(remaining)
-            try:
-                chunk = self._sock.recv(4096)
-            except socket.timeout:
-                return acc.finish_timeout()
-            except ConnectionError:
-                self.close()
-                return acc.finish_eof()
-            except OSError as exc:
-                self.close()
-                raise TransportError(f"receive failed: {exc}") from exc
-            if not chunk:
-                self.close()
-                return acc.finish_eof()
-            decision = acc.feed(chunk)
-            if decision is not None:
+        while chunk := self._recv(deadline):
+            if (decision := acc.feed(chunk)) is not None:
                 self._drain()
                 return decision
+        if chunk == b"":
+            return acc.finish_eof()
+        if (obs := acc.finish_timeout()) is GBL:
+            self.close()  # the rest of a cut-off reply must not answer the next request
+        return obs
 
     def _drain(self) -> None:
-        """Discard bytes arriving shortly after a reply (alignment guard)."""
-        if not self._alive:
-            return
+        """Discard bytes arriving shortly after a reply (alignment guard).
+        The reply is decided, so a local receive error only ends the session."""
         end = time.monotonic() + self.target.drain_window
-        while True:
-            remaining = end - time.monotonic()
-            if remaining <= 0:
-                return
-            self._sock.settimeout(remaining)
-            try:
-                chunk = self._sock.recv(4096)
-            except socket.timeout:
-                return
-            except OSError:
-                self.close()
-                return
-            if not chunk:
-                self.close()
-                return
+        with contextlib.suppress(TransportError):
+            while self._recv(end):
+                pass
 
 
 def connect(target: TargetSpec) -> FtpSession:
@@ -265,6 +262,4 @@ def connect(target: TargetSpec) -> FtpSession:
         )
     except OSError as exc:
         raise ConnectError(f"cannot connect to {target.descriptor}: {exc}") from exc
-    session = FtpSession(target, sock, GBL)
-    session.greeting = session._read_reply()
-    return session
+    return FtpSession(target, sock)

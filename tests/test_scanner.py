@@ -6,6 +6,7 @@ import selectors
 import socket
 import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -162,6 +163,58 @@ def test_late_reply_does_not_shift_alignment(lab_factory):
     assert server.connections == 2
 
 
+def test_reply_cut_off_by_the_timeout_does_not_shift_alignment():
+    # The first reply stops short of its line end, and its tail comes after
+    # the reply timeout.  Each connection numbers its replies from 200.  Read
+    # on the same connection, the tail would answer request 1 (GBL, GBL, 202,
+    # 203, 204), and the reply to request 1 would be lost.
+    listener = socket.create_server(("127.0.0.1", 0))
+    servers = []
+
+    def serve(conn, cut_off):
+        with conn, conn.makefile("rb") as lines:
+            try:
+                conn.sendall(b"220 hi\r\n")
+                lines.readline()
+                conn.sendall(b"331 user ok\r\n")
+                lines.readline()
+                conn.sendall(b"230 in\r\n")
+                for n, _ in enumerate(iter(lines.readline, b"")):
+                    if cut_off and n == 0:
+                        conn.sendall(b"200 par")
+                        time.sleep(0.4)
+                        conn.sendall(b"tial\r\n")
+                    else:
+                        conn.sendall(f"{200 + n} reply {n}\r\n".encode())
+            except OSError:
+                pass  # the scanner closed the connection
+
+    def accept():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return  # the listener was shut down
+            servers.append(threading.Thread(target=serve, args=(conn, not servers)))
+            servers[-1].start()
+
+    acceptor = threading.Thread(target=accept)
+    acceptor.start()
+    try:
+        collection = tiny_collection(max_arg_len=4, mutations=0)
+        assert len(collection.records) == collection.config.block_length == 5
+        fp = fingerprint_target(collection, fast_target(listener.getsockname()[1],
+                                                        sessions=1))
+    finally:
+        listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        acceptor.join(timeout=5)
+        for server in servers:
+            server.join(timeout=5)
+        listener.close()
+    assert fp.observations == (GBL, "200", "201", "202", "203")
+    assert len(servers) == 2
+
+
 def test_reconnect_exhaustion_aborts():
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
@@ -209,16 +262,21 @@ class Responder:
         self.dead = False
         self._listener = socket.create_server(("127.0.0.1", 0), backlog=64)
         self.port = self._listener.getsockname()[1]
+        # close() closes one end of the pair, which wakes the selector at once
+        self._wake, self._waker = socket.socketpair()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ)
-        self._stop = threading.Event()
+        self._selector.register(self._wake, selectors.EVENT_READ)
         self._thread = threading.Thread(target=self._loop, daemon=True)
         self._thread.start()
 
     def _loop(self):
-        while not self._stop.is_set():
-            for key, _ in self._selector.select(0.05):
-                if key.fileobj is self._listener:
+        running = True
+        while running:
+            for key, _ in self._selector.select():
+                if key.fileobj is self._wake:
+                    running = False
+                elif key.fileobj is self._listener:
                     self._accept()
                 else:
                     self._serve(key.fileobj, key.data)
@@ -232,7 +290,7 @@ class Responder:
         if self.dead:
             conn.close()
             return
-        already_open = len(self._selector.get_map()) - 1
+        already_open = len(self._selector.get_map()) - 2  # the listener and the wake-up
         if self.refusals or (self.limit is not None and already_open >= self.limit):
             self.refusals = max(0, self.refusals - 1)
             conn.sendall(b"421 too many connections\r\n")
@@ -268,7 +326,7 @@ class Responder:
             conn.close()
 
     def close(self):
-        self._stop.set()
+        self._waker.close()
         self._thread.join(timeout=5)
         assert not self._thread.is_alive()
 

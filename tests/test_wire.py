@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import math
 import random
+import socket
+import struct
 import threading
+import time
 
 import pytest
 
-from fingerfuzz.errors import ConnectError, LoginError
+from fingerfuzz.errors import ConnectError, ScanRefusedError
 from fingerfuzz.labserver import Rule, ServerScript
 from fingerfuzz.wire import (
     BY_TOKEN,
@@ -243,7 +246,7 @@ def test_login_direct_success_skips_pass(lab_factory):
 def test_login_rejection_raises(lab_factory):
     server = lab_factory(ServerScript(name="locked", pass_code=530))
     session = connect(fast_target(server.port))
-    with pytest.raises(LoginError) as err:
+    with pytest.raises(ScanRefusedError) as err:
         session.login()
     assert err.value.user_reply == "331"
     assert err.value.pass_reply == "530"
@@ -333,3 +336,56 @@ def test_drain_swallows_spontaneous_extra_line():
     assert session.exchange(b"NOOP b") == "451"
     session.close()
     listener.close()
+
+
+# --- a connection reset ends a read ----------------------------------------------
+
+@pytest.fixture
+def one_connection():
+    """Serves one connection on a thread: greets it, takes one request and
+    hands the socket to `then`, which ends the connection."""
+    listeners, threads = [], []
+
+    def start(then) -> int:
+        listener = socket.create_server(("127.0.0.1", 0))
+        listeners.append(listener)
+
+        def serve():
+            conn, _ = listener.accept()
+            conn.sendall(b"220 hi\r\n")
+            conn.recv(4096)
+            then(conn)
+
+        threads.append(threading.Thread(target=serve))
+        threads[-1].start()
+        return listener.getsockname()[1]
+
+    yield start
+    for thread in threads:
+        thread.join(timeout=5)
+    for listener in listeners:
+        listener.close()
+
+
+def reset(conn):
+    """Close with an RST instead of a FIN."""
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    conn.close()
+
+
+def test_reset_before_the_reply_is_a_drop(one_connection):
+    session = connect(fast_target(one_connection(reset)))
+    assert session.exchange(b"NOOP") == DRP
+    assert not session.alive
+
+
+def test_reset_in_the_drain_keeps_the_reply(one_connection):
+    def reply_then_reset(conn):
+        conn.sendall(b"200 ok\r\n")
+        time.sleep(0.05)
+        reset(conn)
+
+    session = connect(fast_target(one_connection(reply_then_reset),
+                                  drain_window=0.3, reply_timeout=0.6))
+    assert session.exchange(b"NOOP") == "200"
+    assert not session.alive
