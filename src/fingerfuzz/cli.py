@@ -44,17 +44,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _seconds(text: str) -> float:
-    """The --delay: seconds from 0 to the longest wait a thread takes.
-    TargetSpec checks the timeouts itself."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0 <= value <= threading.TIMEOUT_MAX:  # NaN fails it too
-        raise argparse.ArgumentTypeError(
-            f"must be a number of seconds in 0..{threading.TIMEOUT_MAX:.0f}")
+def _port(text: str) -> int:
+    value = _nonnegative_int(text)
+    if value > 65535:
+        raise argparse.ArgumentTypeError("must be in 0..65535")
     return value
+
+
+def _number_in(low: float, high: float, what: str):
+    """An argument type: a number from low to high; NaN is refused too."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not low <= value <= high:  # NaN fails it too
+            raise argparse.ArgumentTypeError(f"must be {what} in {low:.0f}..{high:.0f}")
+        return value
+    return parse
+
+
+# the --delay, up to the longest wait a thread takes; TargetSpec checks the timeouts itself
+_seconds = _number_in(0, threading.TIMEOUT_MAX, "a number of seconds")
+_percent = _number_in(0, 100, "a percentage")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,8 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument("--json", action="store_true", help="machine-readable output")
     match.add_argument("--matrix", action="store_true",
                        help="print the all-pairs percent matrix of the db as CSV")
-    match.add_argument("--threshold", type=float, default=None,
-                       help="advisory percent bound; results at or above are flagged")
+    match.add_argument("--threshold", type=_percent, default=None,
+                       help="advisory percent bound (0..100); results at or above "
+                            "are flagged")
     match.set_defaults(func=cmd_match)
 
     opt = sub.add_parser("optimize",
@@ -127,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lab = sub.add_parser("lab", help="run a scripted responder until interrupted")
     lab.add_argument("--script", required=True)
-    lab.add_argument("--port", type=_nonnegative_int, default=0,
+    lab.add_argument("--port", type=_port, default=0,
                      help="0 binds an ephemeral port and prints it")
     lab.set_defaults(func=cmd_lab)
 
@@ -244,6 +257,9 @@ def cmd_scan(args) -> int:
                for line in _list_file(args.targets, "targets")]
     if not targets:
         raise UsageError("targets file lists no hosts")
+    counts = Counter(target.descriptor for target in targets)  # host and port
+    if twice := [name for name, n in counts.items() if n > 1]:
+        raise UsageError(f"targets file lists {', '.join(twice)} more than once")
     collection = fuzzgen.load_collection(args.collection)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)

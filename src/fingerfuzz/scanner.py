@@ -1,25 +1,25 @@
 """Runs a request collection against one target and records the reply vector.
 
 The resulting fingerprint holds one observation per collection record, in
-order.  The scan is cut into runs: index ranges whose first request goes
-out on a fresh login.  The queue of runs starts with the segments of one
-command block each (`FuzzConfig.block_length` of the collection's config; a
+order.  The scan is cut into runs: a run is the index range that goes out
+on one login.  The queue of runs starts with the segments of one command
+block each (`FuzzConfig.block_length` of the collection's config; a
 reduced collection is cut into runs of the same length), so the
 fingerprint depends only on the `.fc` file, and state left by fuzzed USER,
 PASS or REIN requests does not leak into the next block.  Up to
-`TargetSpec.sessions` sessions take runs from the queue.  The first login is made before any
-other connection: a refused login opens no second one.
+`TargetSpec.sessions` sessions take runs from the queue.  The first login
+is made before any other connection: a refused login opens no second one.
 
-Within a run, a dropped connection is itself recorded as an observation;
-the rest of the run then goes out on a fresh login, so that later
-positions stay aligned with their requests.  A timeout (TMO) and a reply
-cut off by the timeout (GBL) are handled the same way, because the late
-reply or its rest would otherwise be read as the answer to the next
-request.  A cut-off greeting refuses the scan.  When the target refuses a
-fresh session while other sessions still work (servers cap connections per
-address), the refused one hands its unsent rest back to the queue and
-retires, so the pool shrinks to what the target admits and no request is
-sent twice.
+`wire` closes a session that must not be used again: after a dropped
+connection, a timeout (TMO), a reply cut off by the timeout (GBL) or a
+local send or receive failure.  The unsent rest of its run then goes back
+to the front of the queue as a run of its own, so that later positions
+stay aligned with their requests.  A request whose send or receive failed
+locally goes out again the same way; its RECONNECT_ATTEMPTS-th such
+failure ends the scan.  When the target refuses a fresh session while
+other sessions still work (servers cap connections per address), the
+refused one hands its run back the same way and retires, so the pool
+shrinks to what the target admits and no request is sent twice.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import io
 import logging
 import threading
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import BinaryIO
@@ -81,10 +81,11 @@ def fingerprint_target(
     interest answer with one uniform error code and cannot be told apart.
     `delay` is the pause after each request of one session.
     """
-    session, login_obs = _open(target)
     step = collection.config.block_length
     count = len(collection.records)
+    session = wire.connect(target)
     try:
+        user_reply, pass_reply = session.login()
         observations = _SessionPool(
             target, collection.records, delay, session,
             [(start, min(start + step, count)) for start in range(0, count, step)],
@@ -97,29 +98,8 @@ def fingerprint_target(
         observations=observations,
         label=label,
         greeting=session.greeting,
-        login=login_obs,
+        login=(user_reply,) + ((pass_reply,) if pass_reply is not None else ()),
     )
-
-
-def _open(target: TargetSpec) -> tuple[FtpSession, tuple[ReplyObservation, ...]]:
-    """A logged-in session and its login replies.
-
-    Raises ScanRefusedError when the greeting turns the connection away
-    (a 4xx or 5xx code, or a closed session: the connection ended or the
-    greeting was cut off) or the login is rejected.
-    """
-    session = wire.connect(target)
-    try:
-        greeting = session.greeting
-        if not session.alive or greeting[0] in "45":  # a 4xx or 5xx code
-            raise ScanRefusedError(
-                f"{target.descriptor} refused the connection (greeting {greeting})"
-            )
-        user_reply, pass_reply = session.login()
-    except BaseException:
-        session.close()
-        raise
-    return session, (user_reply,) + ((pass_reply,) if pass_reply is not None else ())
 
 
 class _SessionPool:
@@ -143,6 +123,7 @@ class _SessionPool:
         self._changed = threading.Condition()
         self._halt = threading.Event()
         self._error: BaseException | None = None
+        self._failures: Counter[int] = Counter()  # TransportErrors per index, by the run's holder
 
     def scan(self) -> tuple[ReplyObservation, ...]:
         """Run the workers to the end; raise the first failure of any."""
@@ -190,56 +171,55 @@ class _SessionPool:
             return (session, *self._runs.popleft())
 
     def _scan_run(self, session: FtpSession | None, start: int, end: int) -> bool:
-        """Scan records[start:end]; False once this worker has to leave."""
-        records = self.records
+        """Send records[start:end] on one login until the session dies, and
+        queue the unsent rest; False once this worker has to leave."""
+        if session is None and (session := self._fresh_session(start, end)) is None:
+            return False
+        index = start
         try:
-            for index in range(start, end):
-                attempts_left = RECONNECT_ATTEMPTS
-                while True:
-                    if self._halt.is_set():
-                        return False
-                    if session is None or not session.alive:
-                        session = self._fresh_session(index, end)
-                        if session is None:
-                            return False
-                    try:
-                        obs = session.exchange(records[index].bytes)
-                        break
-                    except TransportError as exc:
-                        session.close()
-                        attempts_left -= 1
-                        if attempts_left <= 0:
-                            raise PartialScanError(
-                                f"transport failure at request {records[index].index}: {exc}"
-                            ) from exc
-                if obs == wire.TMO:
-                    session.close()  # a late reply must not answer the next request
-                self.observations[index] = obs
+            while index < end and not self._halt.is_set():
+                try:
+                    self.observations[index] = session.exchange(self.records[index].bytes)
+                except TransportError as exc:  # the session is closed
+                    self._failures[index] += 1
+                    if self._failures[index] == RECONNECT_ATTEMPTS:
+                        raise PartialScanError(
+                            f"transport failure at request {self.records[index].index}: {exc}"
+                        ) from exc
+                    break
+                index += 1
                 if self.delay > 0:
                     self._halt.wait(self.delay)
+                if not session.alive:
+                    break
         finally:
-            if session is not None:
-                session.close()
-        with self._changed:
-            self._held -= 1
-            self._changed.notify_all()
+            session.close()
+        self._release((index, end) if index < end else None)
         return True
 
-    def _fresh_session(self, index: int, end: int) -> FtpSession | None:
-        """A logged-in session for records[index:end], or None once the
-        scan halts or this worker handed them back and retired.  Only the
-        last worker retries a refused session."""
+    def _release(self, rest: tuple[int, int] | None, retire: bool = False) -> None:
+        """End the held run: queue its unsent rest first; retire if asked."""
+        with self._changed:
+            self._held -= 1
+            self._live -= retire
+            if rest is not None:
+                self._runs.appendleft(rest)
+            self._changed.notify_all()
+
+    def _fresh_session(self, start: int, end: int) -> FtpSession | None:
+        """A logged-in session for records[start:end], or None once the
+        scan halts or this worker handed the run back and retired.  Only
+        the last worker retries a refused session."""
         for _ in range(RECONNECT_ATTEMPTS):
             try:
-                return _open(self.target)[0]
+                session = wire.connect(self.target)
+                session.login()
+                return session
             except (ConnectError, ScanRefusedError, TransportError) as exc:
                 last_error = exc
             with self._changed:
                 if self._live > 1:
-                    self._live -= 1
-                    self._held -= 1
-                    self._runs.append((index, end))
-                    self._changed.notify_all()
+                    self._release((start, end), retire=True)
                     # under the lock, so the counts are logged in order
                     log.warning("%s refused a new session; scanning on with %d: %s",
                                 self.target.descriptor, self._live, last_error)

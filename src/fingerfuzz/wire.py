@@ -9,9 +9,11 @@ so a scan always stays positionally aligned with the request collection.
 A read ends in one of three ways.  A decision (a reply, or garbage: GBL)
 is followed by a drain window that discards stray bytes; the session stays
 open.  The end of the connection, a reset included, gives DRP and closes
-the session.  The reply timeout gives TMO if nothing arrived, and the
-session stays open; a reply cut off by it gives GBL and closes the session,
-whose rest would otherwise be read as the next reply.
+the session.  The reply timeout gives TMO if nothing arrived, and GBL if
+it cut a reply off.  Both close the session, whose late reply or its rest
+would otherwise be read as the next reply; only a silent greeting leaves it
+open.  `login` refuses a closed session and a greeting with a 4xx or 5xx
+code, and closes the session whenever it refuses.
 """
 
 from __future__ import annotations
@@ -180,9 +182,14 @@ class FtpSession:
         """USER/PASS handshake with the target's credentials; success is a
         final 230 (or 202) reply.
 
-        Returns (user_reply, pass_reply-or-None); raises ScanRefusedError on
-        any other outcome, carrying both observations.
+        Returns (user_reply, pass_reply-or-None).  Raises ScanRefusedError,
+        and closes the session, if it is closed or greeted with a 4xx or 5xx
+        code, or on any other login outcome, carrying both observations.
         """
+        if not self.alive or self.greeting[0] in "45":
+            self.close()
+            raise ScanRefusedError(f"{self.target.descriptor} refused the connection "
+                                   f"(greeting {self.greeting})")
         user_reply = self.exchange(f"USER {self.target.username}".encode("latin-1"))
         pass_reply = None
         if user_reply in ("331", "332"):
@@ -190,6 +197,7 @@ class FtpSession:
         final = pass_reply or user_reply
         if final in ("230", "202"):
             return user_reply, pass_reply
+        self.close()
         raise ScanRefusedError(
             f"{self.target.descriptor} refused login ({final}); "
             "unauthenticated servers are indistinguishable",
@@ -210,7 +218,9 @@ class FtpSession:
         except OSError as exc:
             self.close()
             raise TransportError(f"send failed: {exc}") from exc
-        return self._read_reply()
+        if (obs := self._read_reply()) is TMO:
+            self.close()  # a late reply must not answer the next request
+        return obs
 
     def _recv(self, deadline: float) -> bytes | None:
         """The next chunk; None once the deadline passes; b"" once the

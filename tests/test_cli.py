@@ -12,7 +12,7 @@ import pytest
 from fingerfuzz.cli import main
 from fingerfuzz.errors import IntegrityError
 from fingerfuzz.fuzzgen import FuzzConfig, build_collection, load_collection, save_collection
-from fingerfuzz.labserver import Rule, ServerScript, save_script
+from fingerfuzz.labserver import LabServer, Rule, ServerScript, save_script
 from fingerfuzz.scanner import load_fingerprint, save_fingerprint
 
 from conftest import constant_script, is_base
@@ -305,6 +305,25 @@ def test_scan_multiple_targets(tmp_path, tiny_fc, lab_factory):
     assert files == [f"127.0.0.1_{p}.fp" for p in sorted((s1.port, s2.port))]
 
 
+def test_scan_rejects_a_target_listed_twice_before_connecting(tmp_path, tiny_fc,
+                                                             lab_factory, capsys):
+    # 127.0.0.1 with --port is the same target as 127.0.0.1:<port>; the second
+    # scan would overwrite the first one's file
+    server = lab_factory(constant_script("twice", 200))
+    other = lab_factory(constant_script("once", 200))
+    targets = tmp_path / "targets.txt"
+    targets.write_text(f"127.0.0.1:{server.port}\n127.0.0.1:{other.port}\n127.0.0.1\n")
+    out_dir = tmp_path / "fps"
+    for collection in (tmp_path / "absent.fc", tiny_fc):
+        code = main(["scan", "--collection", str(collection), "--targets", str(targets),
+                     "--port", str(server.port), *FAST_SCAN, "-o", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == (f"usage error: targets file lists "
+                                           f"127.0.0.1:{server.port} more than once\n")
+    assert [server.connections, other.connections] == [0, 0]
+    assert not out_dir.exists()
+
+
 # --- match ----------------------------------------------------------------------
 
 @pytest.fixture
@@ -370,6 +389,17 @@ def test_match_threshold_annotation(match_fixture, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "[meets threshold]" in lines[0]
     assert "[meets threshold]" not in lines[-1]
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-5", "100.5", "250", "x"])
+def test_match_refuses_a_threshold_that_is_no_percentage(match_fixture, capsys, threshold):
+    db_dir, probe = match_fixture
+    for output in ([], ["--json"]):
+        with pytest.raises(SystemExit) as err:
+            main(["match", "--db", str(db_dir), "--fingerprint", str(probe),
+                  "--threshold", threshold, *output])
+        assert err.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
 
 
 def test_match_matrix_csv(match_fixture, capsys):
@@ -542,6 +572,19 @@ def test_lab_bad_script_exits_2(tmp_path, capsys):
         script.write_bytes(text)
         assert main(["lab", "--script", str(script)]) == 2
         assert f"script error: {error}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+def test_lab_refuses_a_port_out_of_range(tmp_path, monkeypatch, capsys, port):
+    script = tmp_path / "ok.script"
+    script.write_text(save_script(constant_script("unbound", 502)))
+    started = []
+    monkeypatch.setattr(LabServer, "start", lambda server: started.append(server))
+    with pytest.raises(SystemExit) as err:
+        main(["lab", "--script", str(script), "--port", port])
+    assert err.value.code == 2
+    assert "--port" in capsys.readouterr().err
+    assert started == []
 
 
 def test_lab_subprocess_serves(tmp_path):

@@ -11,7 +11,13 @@ from collections import Counter
 
 import pytest
 
-from fingerfuzz.errors import DatabaseError, ParseError, PartialScanError, ScanRefusedError
+from fingerfuzz.errors import (
+    DatabaseError,
+    ParseError,
+    PartialScanError,
+    ScanRefusedError,
+    TransportError,
+)
 from fingerfuzz.fuzzgen import DEFAULT_COMMANDS, FuzzConfig, build_collection
 from fingerfuzz.labserver import Rule, ServerScript
 from fingerfuzz.matcher import FingerprintDB
@@ -24,7 +30,7 @@ from fingerfuzz.scanner import (
     save_fingerprint,
     write_fingerprint,
 )
-from fingerfuzz.wire import BY_TOKEN, DEFAULT_SESSIONS, DRP, GBL, TMO
+from fingerfuzz.wire import BY_TOKEN, DEFAULT_SESSIONS, DRP, GBL, TMO, FtpSession
 
 from conftest import ALL_TOKENS, constant_script, fast_target, layout
 
@@ -394,6 +400,24 @@ def test_many_sessions_under_fast_thread_switching(responder_factory):
         str(200 + i % step) for i in range(len(collection.records)))
 
 
+def test_drops_under_fast_thread_switching(responder_factory):
+    # every seventh request on a connection drops it; each rest is queued
+    # as a run of its own and may go out in any session
+    collection = tiny_collection(commands=DEFAULT_COMMANDS, max_arg_len=1, mutations=2)
+    step = collection.config.block_length
+    responder = responder_factory(lambda n, line: None if n == 6 else count_reply(n, line))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        fp = fingerprint_target(collection, fast_target(responder.port, sessions=32))
+    finally:
+        sys.setswitchinterval(interval)
+    assert fp.observations == tuple(
+        DRP if i % step % 7 == 6 else str(200 + i % step % 7)
+        for i in range(len(collection.records)))
+    assert sent_once(responder, collection)
+
+
 def test_one_connection_per_segment(lab_factory):
     collection = tiny_collection(commands=("NOOP", "SYST", "HELP", "STAT", "FEAT"),
                                  max_arg_len=1, mutations=1)
@@ -424,6 +448,44 @@ def test_target_death_stops_the_scan(responder_factory):
     # only the running segments try to reconnect; none of the ten waiting starts
     assert len(connections_at_death) == 1
     assert responder.connections - connections_at_death[0] <= sessions * RECONNECT_ATTEMPTS
+
+
+@pytest.mark.parametrize("failures", [RECONNECT_ATTEMPTS - 1, RECONNECT_ATTEMPTS])
+@pytest.mark.parametrize("sessions", [1, 4])
+def test_transport_failures_resend_the_request_on_a_fresh_login(responder_factory,
+                                                                 monkeypatch, sessions,
+                                                                 failures):
+    collection = tiny_collection(commands=DEFAULT_COMMANDS[:4], max_arg_len=2, mutations=1)
+    step = collection.config.block_length
+    chosen = collection.records[step + 2]
+    assert [r.bytes for r in collection.records].count(chosen.bytes) == 1
+    exchange = FtpSession.exchange
+    left = [failures]
+
+    def fails_locally(session, request):
+        # what wire does on a local send error: close the session, then raise
+        if request == chosen.bytes and left[0]:
+            left[0] -= 1
+            session.close()
+            raise TransportError("send failed: injected")
+        return exchange(session, request)
+
+    monkeypatch.setattr(FtpSession, "exchange", fails_locally)
+    responder = responder_factory(count_reply)
+    target = fast_target(responder.port, sessions=sessions)
+    if failures == RECONNECT_ATTEMPTS:
+        threads_before = threading.active_count()
+        with pytest.raises(PartialScanError,
+                           match=f"transport failure at request {chosen.index}: "):
+            fingerprint_target(collection, target)
+        assert threading.active_count() == threads_before
+        return
+    fp = fingerprint_target(collection, target)
+    # the chosen request and the rest of its run go out on a fresh login
+    assert fp.observations == tuple(
+        str(200 + i - (chosen.index if chosen.index <= i < 2 * step else i - i % step))
+        for i in range(len(collection.records)))
+    assert sent_once(responder, collection)
 
 
 # --- targets that cap connections per address ------------------------------------

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from fingerfuzz.errors import ConnectError, ScanRefusedError
+from fingerfuzz.errors import ConnectError, ScanRefusedError, TransportError
 from fingerfuzz.labserver import Rule, ServerScript
 from fingerfuzz.wire import (
     BY_TOKEN,
@@ -290,8 +290,10 @@ def test_exchange_silence_times_out(lab_factory):
     session = connect(fast_target(server.port))
     session.login()
     assert session.exchange(b"REIN") == TMO
-    # connection still open: the next request gets the default reply
-    assert session.exchange(b"NOOP") == "502"
+    # closed: a late reply must not answer the next request
+    assert not session.alive
+    with pytest.raises(TransportError, match="session is closed"):
+        session.exchange(b"NOOP")
     session.close()
 
 
