@@ -228,9 +228,18 @@ def _scan_one(collection, args, target: wire.TargetSpec, output: str) -> int:
 
 
 def _parse_host_port(text: str, default_port: int) -> tuple[str, int]:
-    host, sep, port_text = text.rpartition(":")
-    if not sep:
-        return text, default_port
+    """`host`, `host:port`, `[address]` or `[address]:port`; an address with
+    more than one colon and no brackets is an IPv6 host on the default port."""
+    host, port_text = text, None
+    if text.startswith("["):
+        host, bracket, rest = text[1:].partition("]")
+        if not bracket or rest[:1] not in ("", ":"):
+            raise UsageError(f"bad target {text!r}")
+        port_text = rest[1:] if rest else None
+    elif text.count(":") == 1:
+        host, _, port_text = text.partition(":")
+    if port_text is None:
+        return host, default_port
     try:
         return host, int(port_text)
     except ValueError:

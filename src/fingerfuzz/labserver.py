@@ -6,6 +6,9 @@ the rules in one socket-free `LabSession`, which the tests' scan oracle
 drives too.  After the login, replies are a pure function of the request
 line, so repeated scans of a script give identical fingerprints; scripts
 that differ in a few rules stand in for distinct products or versions.
+
+A `Rule` is its three script fields as written.  Its reply, like a
+script's default reply, is rendered once, when it is built.
 """
 
 from __future__ import annotations
@@ -15,15 +18,12 @@ import logging
 import re
 import socket
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .fileio import decode_ascii
 
 log = logging.getLogger("fingerfuzz.labserver")
-
-PREDICATES = ("ANY", "LEN_GT", "NONPRINT", "EMPTY")
-ACTIONS = ("REPLY", "MULTI", "DROP", "SILENCE", "DELAY")
 
 _RULE_COMMAND_RE = re.compile(r"^([A-Z]{3,8}|\*)$")
 
@@ -33,49 +33,70 @@ IDLE_TIMEOUT = 60.0
 
 @dataclass(frozen=True)
 class Rule:
+    """One rule as a script spells it, such as
+    `Rule("NOOP", "LEN_GT:8", "REPLY:500:argument too long")`.  Construction
+    checks the three fields and works out, once, the predicate's threshold
+    and the response the rule gives."""
+
     command: str
     predicate: str
     action: str
-    length_gt: int | None = None
-    code: int | None = None
-    text: str = ""
-    lines: tuple[str, ...] = ()
-    delay_ms: int = 0
+    # LEN_GT's threshold, None for the other predicates
+    threshold: int | None = field(init=False, compare=False, repr=False)
+    # (action, wire bytes or None, seconds to wait before sending)
+    response: tuple[str, bytes | None, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not _RULE_COMMAND_RE.match(self.command):
             raise ValueError(f"bad command {self.command!r}")
-        if self.predicate not in PREDICATES:
-            raise ValueError(f"unknown predicate {self.predicate!r}")
-        if self.predicate == "LEN_GT" and (self.length_gt is None or self.length_gt < 0):
-            raise ValueError("LEN_GT needs a non-negative threshold")
-        if self.action not in ACTIONS:
-            raise ValueError(f"unknown action {self.action!r}")
-        if self.action in ("REPLY", "DELAY", "MULTI"):
-            _check_code(self.code, self.action)
-        if self.action in ("REPLY", "DELAY"):
-            _check_text(self.text, self.action)
-        if self.action == "DELAY" and (not isinstance(self.delay_ms, int) or self.delay_ms < 0):
-            raise ValueError("DELAY needs a non-negative whole number of ms")
-        if self.action == "MULTI":
-            if not self.lines:
-                raise ValueError("MULTI needs at least one line")
-            for text in self.lines:
-                _check_text(text, "MULTI")
-                if "|" in text:
-                    raise ValueError("MULTI line must not contain '|'")
+        threshold = None
+        if self.predicate not in ("ANY", "NONPRINT", "EMPTY"):
+            if not self.predicate.startswith("LEN_GT:"):
+                raise ValueError(f"unknown predicate {self.predicate!r}")
+            threshold = _parse_count(self.predicate[7:], f"LEN_GT threshold in {self.predicate!r}")
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "response", _parse_action(self.action))
 
     def matches(self, request: bytes) -> bool:
         head, _, arg = request.partition(b" ")
         if self.command != "*" and head.upper() != self.command.encode("ascii"):
             return False
+        if self.threshold is not None:
+            return len(arg) > self.threshold
         if self.predicate == "ANY":
             return True
-        if self.predicate == "LEN_GT":
-            return len(arg) > self.length_gt
         if self.predicate == "NONPRINT":
             return any(b < 0x20 or b > 0x7E for b in arg)
         return len(arg) == 0  # EMPTY
+
+
+def _parse_action(action: str) -> tuple[str, bytes | None, float]:
+    """(action, wire bytes or None, seconds to wait before sending) of
+    REPLY:<code>:<text>, MULTI:<code>:<line>|<line>..., DROP, SILENCE or
+    DELAY:<ms>:<code>:<text>."""
+    if action in ("DROP", "SILENCE"):
+        return action, None, 0.0
+    kind, _, payload = action.partition(":")
+    delay_ms = 0
+    if kind == "DELAY":
+        ms, _, payload = payload.partition(":")
+        delay_ms = _parse_count(ms, f"DELAY milliseconds in {action!r}")
+    elif kind not in ("REPLY", "MULTI"):
+        raise ValueError(f"unknown action {action!r}")
+    code, _, text = payload.partition(":")
+    code = _check_code(code)
+    _check_text(text, kind)
+    if kind == "MULTI":
+        if not text:
+            raise ValueError("MULTI needs at least one line")
+        return kind, render_multiline(code, tuple(text.split("|"))), 0.0
+    return kind, render_reply(code, text), delay_ms / 1000
+
+
+def _parse_count(digits: str, what: str) -> int:
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad {what}")
+    return int(digits)
 
 
 @dataclass(frozen=True)
@@ -88,21 +109,26 @@ class ServerScript:
     rules: tuple[Rule, ...] = ()
     default_code: int = 502
     default_text: str = "command not implemented"
+    # the response where no rule matches, as Rule.response
+    default_reply: tuple[str, bytes, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.name or any(ch.isspace() for ch in self.name):
             raise ValueError("name: must be a single non-empty word")
-        _check_code(self.greeting_code, "greeting")
+        for where, code in (("greeting: ", self.greeting_code), ("login USER: ", self.user_code),
+                            ("login PASS: ", self.pass_code), ("default: ", self.default_code)):
+            _check_code(f"{code:03d}", where)  # the format refuses a code that is no int
         _check_text(self.greeting_text, "greeting")
-        _check_code(self.user_code, "login USER")
-        _check_code(self.pass_code, "login PASS")
-        _check_code(self.default_code, "default")
         _check_text(self.default_text, "default")
+        object.__setattr__(self, "default_reply",
+                           ("DEFAULT", render_reply(self.default_code, self.default_text), 0.0))
 
 
-def _check_code(code, where: str) -> None:
-    if not isinstance(code, int) or not 100 <= code <= 599:
-        raise ValueError(f"{where}: code {code!r} outside 100..599")
+def _check_code(code: str, where: str = "") -> int:
+    """The value of a reply code written as three digits, in 100..599."""
+    if not (len(code) == 3 and code.isascii() and code.isdigit() and 100 <= int(code) <= 599):
+        raise ValueError(f"{where}code {code} outside 100..599")
+    return int(code)
 
 
 def _check_text(text: str, where: str) -> None:
@@ -121,16 +147,12 @@ def render_multiline(code: int, lines: tuple[str, ...]) -> bytes:
 
 
 def _rule_reply(script: ServerScript, request: bytes) -> tuple[str, bytes | None, float]:
-    """(action, wire bytes or None, seconds to wait before sending) of the
-    first matching rule, or of the default reply where none matches."""
+    """The response of the first matching rule, or the default reply where
+    none matches."""
     for rule in script.rules:
         if rule.matches(request):
-            if rule.action in ("REPLY", "DELAY"):
-                return rule.action, render_reply(rule.code, rule.text), rule.delay_ms / 1000
-            if rule.action == "MULTI":
-                return "MULTI", render_multiline(rule.code, rule.lines), 0.0
-            return rule.action, None, 0.0
-    return "DEFAULT", render_reply(script.default_code, script.default_text), 0.0
+            return rule.response
+    return script.default_reply
 
 
 def apply_rules(script: ServerScript, request: bytes) -> tuple[str, bytes | None]:
@@ -249,19 +271,47 @@ class LabServer:
                 conn.sendall(payload)
 
 
-# Script file grammar, ASCII only, one directive per line:
+# Script file grammar, ASCII only, one directive per line; `#` opens a
+# comment line.  Each directive but `rule` may appear once:
 #   name <label>
 #   greeting <code> <text>
 #   login USER=<code> PASS=<code>
 #   rule <CMD|*> <ANY|LEN_GT:n|NONPRINT|EMPTY> <action>
 #     action: REPLY:code:text | MULTI:code:l1|l2 | DROP | SILENCE | DELAY:ms:code:text
 #   default <code> <text>
+# A rule line's three fields are the Rule as written.
+
+
+def _parse_name(rest: str) -> tuple[str]:
+    if not rest:
+        raise ValueError("name needs a label")
+    return (rest,)
+
+
+def _parse_code_text(rest: str) -> tuple[int, str]:
+    code, _, text = rest.partition(" ")
+    return _check_code(code), text
+
+
+def _parse_login(rest: str) -> tuple[int, int]:
+    parts = rest.split()
+    if len(parts) != 2 or not parts[0].startswith("USER=") or not parts[1].startswith("PASS="):
+        raise ValueError("login line must be 'login USER=<code> PASS=<code>'")
+    return _check_code(parts[0][5:]), _check_code(parts[1][5:])
+
+
+# the directives that may appear once: their line parser, and the
+# ServerScript fields its values fill
+_SINGLE_DIRECTIVES = {
+    "name": (_parse_name, ("name",)),
+    "greeting": (_parse_code_text, ("greeting_code", "greeting_text")),
+    "login": (_parse_login, ("user_code", "pass_code")),
+    "default": (_parse_code_text, ("default_code", "default_text")),
+}
+
 
 def load_script(source: str) -> ServerScript:
-    name = None
-    greeting = None
-    login = None
-    default = None
+    fields: dict[str, object] = {}  # ServerScript's, by the table
     rules: list[Rule] = []
     # LF only: str.splitlines would also break at form feeds and other
     # separators a reply text may hold; strip() takes the CR of CRLF
@@ -271,37 +321,27 @@ def load_script(source: str) -> ServerScript:
             continue
         directive, _, rest = line.partition(" ")
         rest = rest.strip()
-        if directive == "name":
-            if not rest:
-                raise ParseError("name needs a label", line_no)
-            name = rest
-        elif directive == "greeting":
-            greeting = _parse_code_text(rest, line_no)
-        elif directive == "login":
-            login = _parse_login(rest, line_no)
-        elif directive == "default":
-            if default is not None:
-                raise ParseError("duplicate default", line_no)
-            default = _parse_code_text(rest, line_no)
-        elif directive == "rule":
-            rules.append(_parse_rule(rest, line_no))
-        else:
-            raise ParseError(f"unknown directive {directive!r}", line_no)
-    if name is None:
+        try:
+            if directive == "rule":
+                parts = rest.split(" ", 2)
+                if len(parts) != 3:
+                    raise ValueError("rule line must be 'rule <CMD|*> <predicate> <action>'")
+                rules.append(Rule(*parts))
+                continue
+            if directive not in _SINGLE_DIRECTIVES:
+                raise ValueError(f"unknown directive {directive!r}")
+            parse, names = _SINGLE_DIRECTIVES[directive]
+            if names[0] in fields:
+                raise ValueError(f"duplicate {directive} line")
+            fields.update(zip(names, parse(rest)))
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
+    if "name" not in fields:
         raise ParseError("script needs a 'name' line")
-    if default is None:
+    if "default_code" not in fields:
         raise ParseError("script needs exactly one 'default' line")
     try:
-        return ServerScript(
-            name=name,
-            greeting_code=greeting[0] if greeting else 220,
-            greeting_text=greeting[1] if greeting else "service ready",
-            user_code=login[0] if login else 331,
-            pass_code=login[1] if login else 230,
-            rules=tuple(rules),
-            default_code=default[0],
-            default_text=default[1],
-        )
+        return ServerScript(rules=tuple(rules), **fields)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -312,78 +352,14 @@ def save_script(script: ServerScript) -> str:
         f"greeting {script.greeting_code} {script.greeting_text}".rstrip(),
         f"login USER={script.user_code} PASS={script.pass_code}",
     ]
-    for rule in script.rules:
-        pred = rule.predicate
-        if pred == "LEN_GT":
-            pred = f"LEN_GT:{rule.length_gt}"
-        if rule.action == "REPLY":
-            action = f"REPLY:{rule.code}:{rule.text}"
-        elif rule.action == "MULTI":
-            action = f"MULTI:{rule.code}:" + "|".join(rule.lines)
-        elif rule.action == "DELAY":
-            action = f"DELAY:{rule.delay_ms}:{rule.code}:{rule.text}"
-        else:
-            action = rule.action
-        lines.append(f"rule {rule.command} {pred} {action}")
+    lines += [f"rule {rule.command} {rule.predicate} {rule.action}" for rule in script.rules]
     lines.append(f"default {script.default_code} {script.default_text}".rstrip())
     return "\n".join(lines) + "\n"
 
 
 def load_script_file(path) -> ServerScript:
     with open(path, "rb") as fh:
-        return load_script(decode_ascii(fh.read(), "lab script"))
-
-
-def _parse_code(token: str, line_no: int) -> int:
-    if not token.isdigit() or len(token) != 3:
-        raise ParseError(f"expected a 3-digit code, got {token!r}", line_no)
-    code = int(token)
-    if not 100 <= code <= 599:
-        raise ParseError(f"code {token} outside 100..599", line_no)
-    return code
-
-
-def _parse_code_text(rest: str, line_no: int) -> tuple[int, str]:
-    token, _, text = rest.partition(" ")
-    return _parse_code(token, line_no), text
-
-
-def _parse_login(rest: str, line_no: int) -> tuple[int, int]:
-    parts = rest.split()
-    if len(parts) != 2 or not parts[0].startswith("USER=") or not parts[1].startswith("PASS="):
-        raise ParseError("login line must be 'login USER=<code> PASS=<code>'", line_no)
-    return (
-        _parse_code(parts[0][5:], line_no),
-        _parse_code(parts[1][5:], line_no),
-    )
-
-
-def _parse_rule(rest: str, line_no: int) -> Rule:
-    parts = rest.split(" ", 2)
-    if len(parts) != 3:
-        raise ParseError("rule line must be 'rule <CMD|*> <predicate> <action>'", line_no)
-    command, predicate, action = parts
-    length_gt = None
-    if predicate.startswith("LEN_GT:"):
-        if not predicate[7:].isdigit():
-            raise ParseError(f"bad LEN_GT threshold in {predicate!r}", line_no)
-        predicate, length_gt = "LEN_GT", int(predicate[7:])
-    kind, _, payload = action.partition(":")
-    fields = {}
-    if kind == "DELAY":
-        ms_token, _, payload = payload.partition(":")
-        if not ms_token.isdigit():
-            raise ParseError(f"bad DELAY milliseconds in {action!r}", line_no)
-        fields["delay_ms"] = int(ms_token)
-    if kind in ("REPLY", "MULTI", "DELAY"):
-        code_token, _, text = payload.partition(":")
-        fields["code"] = _parse_code(code_token, line_no)
-        if kind == "MULTI":
-            fields["lines"] = tuple(text.split("|")) if text else ()
-        else:
-            fields["text"] = text
-        action = kind
-    try:
-        return Rule(command, predicate, action, length_gt=length_gt, **fields)
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no) from None
+        try:
+            return load_script(decode_ascii(fh.read(), "lab script"))
+        except ParseError as exc:
+            raise ParseError(exc.reason, exc.line_no, path=path) from None

@@ -99,6 +99,10 @@ class TargetSpec:
             raise ValueError("drain_window must be smaller than reply_timeout")
         if not 1 <= self.sessions <= MAX_SESSIONS:
             raise ValueError(f"sessions must be in 1..{MAX_SESSIONS}")
+        for name in ("username", "password"):
+            # the login sends each in one latin-1 request line
+            if any(ch in "\r\n" or ord(ch) > 0xFF for ch in getattr(self, name)):
+                raise ValueError(f"{name} must be latin-1 text without CR or LF")
 
     @property
     def descriptor(self) -> str:

@@ -162,14 +162,14 @@ def test_criterion_6_lab_discrimination_formula(lab_factory):
             assert (token == changed.encode()) == (
                 config.commands[record.index // config.block_length] == changed)
 
-        shared = (Rule("NOOP", "ANY", "REPLY", code=200, text="ok"),)
+        shared = (Rule("NOOP", "ANY", "REPLY:200:ok"),)
         script_a = ServerScript(
             name="product-a",
-            rules=shared + (Rule(changed, "ANY", "REPLY", code=215, text="UNIX"),),
+            rules=shared + (Rule(changed, "ANY", "REPLY:215:UNIX"),),
         )
         script_b = ServerScript(
             name="product-b",
-            rules=shared + (Rule(changed, "ANY", "REPLY", code=500, text="err"),),
+            rules=shared + (Rule(changed, "ANY", "REPLY:500:err"),),
         )
         fp_a = fingerprint_target(collection, lab_target(lab_factory(script_a).port))
         fp_b = fingerprint_target(collection, lab_target(lab_factory(script_b).port))
@@ -190,7 +190,7 @@ def test_criterion_7_self_recognition(lab_factory):
         )
         known = ServerScript(
             name="known",
-            rules=(Rule("NOOP", "ANY", "REPLY", code=200, text="ok"),),
+            rules=(Rule("NOOP", "ANY", "REPLY:200:ok"),),
         )
         distractor = ServerScript(name="other", default_code=500)
         server = lab_factory(known)
@@ -218,7 +218,7 @@ def test_criterion_8_version_delta_sensitivity(lab_factory):
         for label, cwd_code in (("v1", 250), ("v2", 257)):
             versions.append(ServerScript(
                 name=label,
-                rules=(Rule("CWD", "ANY", "REPLY", code=cwd_code, text="ok"),),
+                rules=(Rule("CWD", "ANY", f"REPLY:{cwd_code}:ok"),),
             ))
         server_a = lab_factory(versions[0])
         server_b = lab_factory(versions[1])
@@ -239,12 +239,12 @@ def test_criterion_9_optimizer_preservation(lab_factory):
         )
         scripts = [
             ServerScript(name="p1", rules=(
-                Rule("NOOP", "ANY", "REPLY", code=200, text="a"),)),
+                Rule("NOOP", "ANY", "REPLY:200:a"),)),
             ServerScript(name="p2", rules=(
-                Rule("NOOP", "ANY", "REPLY", code=250, text="b"),)),
+                Rule("NOOP", "ANY", "REPLY:250:b"),)),
             ServerScript(name="p3", rules=(
-                Rule("NOOP", "ANY", "REPLY", code=200, text="a"),
-                Rule("SYST", "ANY", "REPLY", code=215, text="c"),)),
+                Rule("NOOP", "ANY", "REPLY:200:a"),
+                Rule("SYST", "ANY", "REPLY:215:c"),)),
             ServerScript(name="p4", default_code=500),
         ]
         servers = {s.name: lab_factory(s) for s in scripts}

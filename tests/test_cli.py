@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from fingerfuzz.cli import main
+from fingerfuzz.cli import UsageError, _parse_host_port, main
 from fingerfuzz.errors import IntegrityError
 from fingerfuzz.fuzzgen import FuzzConfig, build_collection, load_collection, save_collection
 from fingerfuzz.labserver import LabServer, Rule, ServerScript, save_script
@@ -118,7 +118,7 @@ def tiny_fc(tmp_path):
 def test_scan_lab_server(tmp_path, tiny_fc, lab_factory, capsys):
     script = ServerScript(
         name="scanme",
-        rules=(Rule("NOOP", "ANY", "REPLY", code=200, text="ok"),),
+        rules=(Rule("NOOP", "ANY", "REPLY:200:ok"),),
         default_code=502,
     )
     server = lab_factory(script)
@@ -209,6 +209,49 @@ def test_scan_rejects_non_ascii_targets_file_before_connecting(tmp_path, tiny_fc
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--user", "a\nb", "username"),
+    ("--user", "\u540d", "username"),
+    ("--pass", "x\ry", "password"),
+    ("--pass", "\u540d", "password"),
+])
+def test_scan_rejects_unsendable_credentials_before_connecting(tmp_path, tiny_fc, lab_factory,
+                                                               capsys, flag, value, field):
+    # the login sends them in one latin-1 request line
+    server = lab_factory(constant_script("unused", 200))
+    targets = tmp_path / "targets.txt"
+    targets.write_text(f"127.0.0.1:{server.port}\n")
+    single = ["--host", "127.0.0.1", "--port", str(server.port), "-o", str(tmp_path / "x.fp")]
+    listed = ["--targets", str(targets), "-o", str(tmp_path / "fps")]
+    for collection in (tmp_path / "absent.fc", tiny_fc):
+        for where in (single, listed):
+            code = main(["scan", "--collection", str(collection), *where, flag, value,
+                         *FAST_SCAN])
+            assert code == 2
+            assert f"{field} must be latin-1 text without CR or LF" in capsys.readouterr().err
+    assert server.connections == 0
+    assert not (tmp_path / "x.fp").exists() and not (tmp_path / "fps").exists()
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("192.0.2.1", ("192.0.2.1", 21)),
+    ("192.0.2.1:2121", ("192.0.2.1", 2121)),
+    ("ftp.example:2121", ("ftp.example", 2121)),
+    ("::1", ("::1", 21)),
+    ("2001:db8::7", ("2001:db8::7", 21)),
+    ("[::1]", ("::1", 21)),
+    ("[::1]:2121", ("::1", 2121)),
+])
+def test_parse_host_port(text, expected):
+    assert _parse_host_port(text, 21) == expected
+
+
+@pytest.mark.parametrize("text", ["[::1", "[::1]2121", "[::1]:", "[::1]:x", "host:", "host:x"])
+def test_parse_host_port_refuses_a_bad_target(text):
+    with pytest.raises(UsageError, match="bad target"):
+        _parse_host_port(text, 21)
+
+
 def test_scan_rejects_bad_target_before_connecting(tmp_path, tiny_fc, lab_factory,
                                                   capsys):
     server = lab_factory(constant_script("unused", 200))
@@ -266,7 +309,7 @@ def test_scan_refuses_timing_no_wait_can_take(tmp_path, tiny_fc, lab_factory, ca
 
 def test_scan_one_session_gives_the_same_fingerprint(tmp_path, tiny_fc, lab_factory):
     server = lab_factory(ServerScript(
-        name="scanme", rules=(Rule("NOOP", "ANY", "REPLY", code=200, text="ok"),)))
+        name="scanme", rules=(Rule("NOOP", "ANY", "REPLY:200:ok"),)))
     outputs = []
     for sessions in ("1", "8"):
         outputs.append(tmp_path / f"s{sessions}.fp")
@@ -324,6 +367,21 @@ def test_scan_rejects_a_target_listed_twice_before_connecting(tmp_path, tiny_fc,
     assert not out_dir.exists()
 
 
+def test_scan_rejects_an_ipv6_target_listed_twice_before_connecting(tmp_path, lab_factory,
+                                                                    capsys):
+    # no IPv6 scan is run: the lab server binds IPv4 only
+    server = lab_factory(constant_script("unused", 200))
+    targets = tmp_path / "targets.txt"
+    targets.write_text(f"127.0.0.1:{server.port}\n::1\n[::1]:21\n")
+    out_dir = tmp_path / "fps"
+    code = main(["scan", "--collection", str(tmp_path / "absent.fc"), "--targets", str(targets),
+                 "--port", "21", *FAST_SCAN, "-o", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: targets file lists ::1:21 more than once\n"
+    assert server.connections == 0
+    assert not out_dir.exists()
+
+
 # --- match ----------------------------------------------------------------------
 
 @pytest.fixture
@@ -333,7 +391,7 @@ def match_fixture(tmp_path, tiny_fc, lab_factory):
         constant_script("alpha", 200),
         constant_script("bravo", 500),
         ServerScript(name="carol",
-                     rules=(Rule("NOOP", "ANY", "REPLY", code=250, text="x"),),
+                     rules=(Rule("NOOP", "ANY", "REPLY:250:x"),),
                      default_code=500),
     ]
     collection = load_collection(tiny_fc)
@@ -521,7 +579,7 @@ def test_optimize_reduces_and_traces(tmp_path, tiny_fc, lab_factory, capsys):
     for label, noop_code in (("old", 200), ("new", 250)):
         script = ServerScript(
             name=label,
-            rules=(Rule("NOOP", "ANY", "REPLY", code=noop_code, text="ok"),),
+            rules=(Rule("NOOP", "ANY", f"REPLY:{noop_code}:ok"),),
             default_code=502,
         )
         server = lab_factory(script)
@@ -571,7 +629,7 @@ def test_lab_bad_script_exits_2(tmp_path, capsys):
     ]:
         script.write_bytes(text)
         assert main(["lab", "--script", str(script)]) == 2
-        assert f"script error: {error}" in capsys.readouterr().err
+        assert f"script error: {script}: {error}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("port", ["70000", "65536", "-1"])

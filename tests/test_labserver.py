@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import socket
+from pathlib import Path
 
 import pytest
 
@@ -51,9 +53,8 @@ def test_load_full_script():
     assert script.name == "toy-ftpd"
     assert script.greeting_code == 220
     assert len(script.rules) == 6
-    assert script.rules[0] == Rule("NOOP", "LEN_GT", "REPLY", length_gt=8,
-                                   code=500, text="argument too long")
-    assert script.rules[2].lines == ("extensions", "end")
+    assert script.rules[0] == Rule("NOOP", "LEN_GT:8", "REPLY:500:argument too long")
+    assert script.rules[2] == Rule("FEAT", "ANY", "MULTI:211:extensions|end")
 
 
 def test_script_round_trip():
@@ -78,11 +79,25 @@ def test_script_round_trip():
         ("name a\nrule SYST ANY DELAY:soon:215:x\ndefault 502 y\n", "DELAY"),
         ("name a\nrule SYST ANY DELAY:-5:215:x\ndefault 502 y\n", "DELAY"),
         ("name a\nrule SYST ANY DELAY:100:915:x\ndefault 502 y\n", "915"),
+        ("name a\nname b\ndefault 502 y\n", "line 2: duplicate name"),
+        ("name a\ngreeting 220 x\ngreeting 421 busy\ndefault 502 y\n",
+         "line 3: duplicate greeting"),
+        ("name a\nlogin USER=331 PASS=230\ndefault 502 y\nlogin USER=230 PASS=230\n",
+         "line 4: duplicate login"),
     ],
 )
 def test_load_rejects_bad_scripts(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         load_script(text)
+
+
+def test_readme_example_script_loads():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Script files", 1)[1]
+    example = section.split("```\n", 2)[1]
+    script = load_script(example)
+    assert script.name == "toy-ftpd"
+    assert save_script(script) == example
 
 
 def test_parse_error_carries_line_number():
@@ -107,12 +122,11 @@ def test_validate_reports_out_of_range_codes():
 
 def test_delay_rule_grammar():
     script = load_script("name d\nrule SYST ANY DELAY:150:215:UNIX: late\ndefault 502 no\n")
-    assert script.rules[0] == Rule("SYST", "ANY", "DELAY", code=215,
-                                   text="UNIX: late", delay_ms=150)
+    assert script.rules[0] == Rule("SYST", "ANY", "DELAY:150:215:UNIX: late")
     assert load_script(save_script(script)) == script
     assert apply_rules(script, b"SYST") == ("DELAY", b"215 UNIX: late\r\n")
     with pytest.raises(ValueError, match="DELAY"):
-        Rule("SYST", "ANY", "DELAY", code=215, delay_ms=-1)
+        Rule("SYST", "ANY", "DELAY:-1:215:x")
 
 
 # --- rule evaluation ----------------------------------------------------------
@@ -156,8 +170,7 @@ def test_drop_and_silence_actions():
 
 
 def test_wildcard_rule():
-    script = ServerScript(name="w", rules=(Rule("*", "ANY", "REPLY", code=421,
-                                                text="go away"),))
+    script = ServerScript(name="w", rules=(Rule("*", "ANY", "REPLY:421:go away"),))
     assert apply_rules(script, b"ANYTHING")[1] == b"421 go away\r\n"
 
 
@@ -369,22 +382,46 @@ def random_script(rng: random.Random) -> ServerScript:
         else:
             command = rng.choice(commands + ("*",))
             predicate = rng.choice(("ANY", "LEN_GT", "NONPRINT", "EMPTY"))
-        fields = {}
         if predicate == "LEN_GT":
-            fields["length_gt"] = (CONFORMANCE_CONFIG.max_arg_len if action == "SILENCE"
-                                   else rng.randint(0, 3))
+            threshold = (CONFORMANCE_CONFIG.max_arg_len if action == "SILENCE"
+                         else rng.randint(0, 3))
+            predicate = f"LEN_GT:{threshold}"
         if action in ("REPLY", "MULTI", "DELAY"):
-            fields["code"] = rng.randint(100, 599)
-        if action in ("REPLY", "DELAY"):
-            fields["text"] = f"r{n}"
-        if action == "MULTI":
-            fields["lines"] = tuple(f"m{n}-{i}" for i in range(rng.randint(1, 3)))
-        if action == "DELAY":
-            fields["delay_ms"] = rng.randint(0, 20)
-        rules.append(Rule(command, predicate, action, **fields))
+            code = rng.randint(100, 599)
+        if action == "REPLY":
+            action = f"REPLY:{code}:r{n}"
+        elif action == "MULTI":
+            action = f"MULTI:{code}:" + "|".join(f"m{n}-{i}" for i in range(rng.randint(1, 3)))
+        elif action == "DELAY":
+            action = f"DELAY:{rng.randint(0, 20)}:{code}:r{n}"
+        rules.append(Rule(command, predicate, action))
     return ServerScript(name="random", user_code=rng.choice((331, 332, 230)),
                         pass_code=rng.choice((230, 202)), rules=tuple(rules),
                         default_code=rng.randint(100, 599))
+
+
+# sha256 prefixes of save_script(random_script(Random(seed))), seeds 0-39, as
+# first drawn; a change to random_script must keep the scripts CI sweeps
+RANDOM_SCRIPT_DIGESTS = (
+    "59bca7806f1e9a1d", "991b5eea005857b8", "1d2129c660da4623", "23ccc206f6c0faa4",
+    "98bba6d751581f18", "a85b4cd6eb347d92", "b6c27bf2191d69da", "f99f8afe7c02cfe9",
+    "63221de3fdf23890", "eea1c935e73bb95e", "757d47238ad5aa1f", "7781ff268b9fc29a",
+    "e2dadbb83d07695f", "9ecf61a746ce7297", "2e4bf15d4d155023", "f7280c71583897a3",
+    "66eb24f50bfacbf0", "75190aeb798fdf2b", "976512288b283400", "e643837a656fcaef",
+    "6050cdefeb818170", "4c478e446806b50b", "7a05d491293e2885", "8d9f32a54df64ed3",
+    "4af12b6bf000f868", "d3a8bf89fb86f751", "a21af468a68d9e6c", "6fde394daaa64d9c",
+    "e3eb6d2c90265931", "0e014bdecabbf6ad", "2b746283655269f9", "16a5cbdd05b8b7f0",
+    "39e5ba920e526ffb", "2af7ef2b52da19cb", "97e60b0d0c36e438", "d110df136d39240b",
+    "b59e8e66eea9526b", "8e48ac39a169808e", "50450518425fa156", "cec370f42b871946",
+)
+
+
+def test_random_scripts_are_pinned():
+    digests = tuple(
+        hashlib.sha256(save_script(random_script(random.Random(seed))).encode()).hexdigest()[:16]
+        for seed in range(len(RANDOM_SCRIPT_DIGESTS))
+    )
+    assert digests == RANDOM_SCRIPT_DIGESTS
 
 
 @pytest.mark.parametrize("sessions", (1, 4))

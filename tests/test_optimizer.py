@@ -205,15 +205,15 @@ def test_projection_requires_matching_digest():
 
 def lab_scripts():
     base_rules = (
-        Rule("NOOP", "ANY", "REPLY", code=200, text="ok"),
-        Rule("SYST", "ANY", "REPLY", code=215, text="UNIX"),
+        Rule("NOOP", "ANY", "REPLY:200:ok"),
+        Rule("SYST", "ANY", "REPLY:215:UNIX"),
     )
     return [
         ServerScript(name="prod-a", rules=base_rules, default_code=502),
         ServerScript(name="prod-b", rules=base_rules, default_code=500),
         ServerScript(
             name="prod-a2",
-            rules=(Rule("NOOP", "ANY", "REPLY", code=250, text="ok"),) + base_rules[1:],
+            rules=(Rule("NOOP", "ANY", "REPLY:250:ok"),) + base_rules[1:],
             default_code=502,
         ),
     ]

@@ -36,24 +36,27 @@ from conftest import ALL_TOKENS, constant_script, fast_target, layout
 
 
 def predict_token(script: ServerScript, request: bytes) -> str:
-    """Independent re-statement of the scripted behaviour, for oracles."""
+    """Independent re-statement of the scripted behaviour, for oracles.  It
+    reads each rule's spelling itself, not the response the rule stores."""
     head, _, arg = request.partition(b" ")
     for rule in script.rules:
         if rule.command != "*" and head.upper() != rule.command.encode():
             continue
-        if rule.predicate == "LEN_GT" and not len(arg) > rule.length_gt:
+        predicate, _, threshold = rule.predicate.partition(":")
+        if predicate == "LEN_GT" and not len(arg) > int(threshold):
             continue
-        if rule.predicate == "NONPRINT" and not any(
+        if predicate == "NONPRINT" and not any(
             b < 0x20 or b > 0x7E for b in arg
         ):
             continue
-        if rule.predicate == "EMPTY" and len(arg) != 0:
+        if predicate == "EMPTY" and len(arg) != 0:
             continue
         if rule.action == "DROP":
             return DRP
         if rule.action == "SILENCE":
             return TMO
-        return str(rule.code)
+        fields = rule.action.split(":")  # REPLY:code:text, MULTI:code:..., DELAY:ms:code:text
+        return fields[2] if fields[0] == "DELAY" else fields[1]
     return str(script.default_code)
 
 
@@ -80,9 +83,9 @@ def test_scan_matches_script_oracle(lab_factory):
     script = ServerScript(
         name="varied",
         rules=(
-            Rule("NOOP", "LEN_GT", "REPLY", length_gt=0, code=500, text="arg"),
-            Rule("NOOP", "ANY", "REPLY", code=200, text="ok"),
-            Rule("SYST", "ANY", "REPLY", code=215, text="UNIX"),
+            Rule("NOOP", "LEN_GT:0", "REPLY:500:arg"),
+            Rule("NOOP", "ANY", "REPLY:200:ok"),
+            Rule("SYST", "ANY", "REPLY:215:UNIX"),
         ),
         default_code=502,
     )
@@ -125,8 +128,8 @@ def test_deterministic_server_gives_identical_scans(lab_factory):
     collection = tiny_collection(commands=("NOOP", "HELP"), mutations=3)
     script = ServerScript(
         name="echoish",
-        rules=(Rule("NOOP", "NONPRINT", "REPLY", code=501, text="junk"),
-               Rule("NOOP", "ANY", "REPLY", code=200, text="ok")),
+        rules=(Rule("NOOP", "NONPRINT", "REPLY:501:junk"),
+               Rule("NOOP", "ANY", "REPLY:200:ok")),
     )
     server = lab_factory(script)
     first = fingerprint_target(collection, fast_target(server.port))
@@ -158,8 +161,8 @@ def test_late_reply_does_not_shift_alignment(lab_factory):
     # timeout the scan read TMO, TMO, 215 here
     script = ServerScript(
         name="slow",
-        rules=(Rule("SYST", "EMPTY", "DELAY", code=215, text="UNIX", delay_ms=300),
-               Rule("SYST", "ANY", "REPLY", code=200, text="ok")),
+        rules=(Rule("SYST", "EMPTY", "DELAY:300:215:UNIX"),
+               Rule("SYST", "ANY", "REPLY:200:ok")),
     )
     collection = tiny_collection(commands=("SYST",), max_arg_len=2, mutations=0)
     assert [r.bytes == b"SYST" for r in collection.records] == [True, False, False]

@@ -265,7 +265,7 @@ def test_exchange_constant_reply(lab_factory):
 def test_exchange_multiline(lab_factory):
     script = ServerScript(
         name="multi",
-        rules=(Rule("FEAT", "ANY", "MULTI", code=211, lines=("features", "end")),),
+        rules=(Rule("FEAT", "ANY", "MULTI:211:features|end"),),
     )
     server = lab_factory(script)
     session = connect(fast_target(server.port))
