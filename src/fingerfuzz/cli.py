@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import fuzzgen, labserver, matcher, optimizer, scanner, wire
-from .errors import FingerfuzzError, IncomparableError, ParseError
+from .errors import ConfigError, FingerfuzzError, IncomparableError, ParseError
 from .fileio import atomic_write, decode_ascii
 
 SEED_ENV_VAR = "FINGERFUZZ_SEED"
@@ -154,12 +154,9 @@ def _resolve_seed(flag_value: int | None) -> int:
     if env is None:
         return fuzzgen.DEFAULT_SEED
     try:
-        value = int(env)
+        return int(env)  # FuzzConfig checks its range
     except ValueError:
         raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    if not 0 <= value < 2**64:
-        raise UsageError(f"{SEED_ENV_VAR} must fit in 64 bits")
-    return value
 
 
 def _list_file(source: str, kind: str) -> list[str]:
@@ -182,13 +179,16 @@ def _load_commands(source: str) -> tuple[str, ...]:
 
 
 def cmd_generate(args) -> int:
-    config = fuzzgen.FuzzConfig(
-        commands=_load_commands(args.commands),
-        max_arg_len=args.max_len,
-        instances=args.instances,
-        mutations=args.mutations,
-        seed=_resolve_seed(args.seed),
-    )
+    try:
+        config = fuzzgen.FuzzConfig(
+            commands=_load_commands(args.commands),
+            max_arg_len=args.max_len,
+            instances=args.instances,
+            mutations=args.mutations,
+            seed=_resolve_seed(args.seed),
+        )
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from None
     collection = fuzzgen.build_collection(config)
     fuzzgen.save_collection(collection, args.output)
     print(f"wrote {args.output}: {len(collection.records)} requests, "
@@ -214,7 +214,7 @@ def _target(args, host: str, port: int) -> wire.TargetSpec:
             sessions=args.sessions,
         )
     except ValueError as exc:
-        raise UsageError(f"target {host}:{port}: {exc}") from None
+        raise UsageError(f"target {wire.host_port(host, port)}: {exc}") from None
 
 
 def _scan_one(collection, args, target: wire.TargetSpec, output: str) -> int:

@@ -8,7 +8,9 @@ which is what makes fingerprints of different targets comparable.
 
 A request is its index and its bytes, nothing more.  The layout is defined
 once, by `FuzzConfig.block_length`: the (L+1) * n * (m+1) requests of one
-command form a block, and block i belongs to the i-th command.
+command form a block, and block i belongs to the i-th command.  A collection
+escapes its requests once, when it is made: its file body and the digest
+over that body are derived from its records.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable
 
 from .errors import ConfigError, IntegrityError, ParseError
@@ -111,8 +113,15 @@ class RequestRecord:
 class FuzzCollection:
     records: tuple[RequestRecord, ...]
     config: FuzzConfig
-    digest: str
     reduced_from: str | None = None
+    # the file body, one escaped request per LF-terminated line, and its SHA-256
+    body: bytes = field(init=False, compare=False, repr=False)
+    digest: str = field(init=False)
+
+    def __post_init__(self):
+        body = "".join([escape_line(record.bytes) + "\n" for record in self.records])
+        object.__setattr__(self, "body", body.encode("ascii"))
+        object.__setattr__(self, "digest", hashlib.sha256(self.body).hexdigest())
 
 
 def mutate(message: bytes, rng: SplitMix64, alphabet: Iterable[int] = _DEFAULT_ALPHABET) -> bytes:
@@ -168,26 +177,17 @@ def build_collection(config: FuzzConfig) -> FuzzCollection:
                     current = mutate(current, rng, letters)
                     requests.append(current)
     records = tuple(RequestRecord(i, data) for i, data in enumerate(requests))
-    return FuzzCollection(records, config, body_digest(map(escape_line, requests)))
-
-
-def body_digest(lines: Iterable[str]) -> str:
-    """SHA-256 over the escaped body lines, each LF-terminated."""
-    h = hashlib.sha256()
-    for line in lines:
-        h.update(line.encode("ascii"))
-        h.update(b"\n")
-    return h.hexdigest()
+    return FuzzCollection(records, config)
 
 
 # Each byte's spelling in an escaped line: printable ASCII as itself, the
 # backslash doubled, every other byte as \x and two lowercase hex digits.
 _ESCAPES = [chr(b) if 0x20 <= b <= 0x7E else f"\\x{b:02x}" for b in range(256)]
 _ESCAPES[0x5C] = "\\\\"
-# The lines escape_line writes, and no others: one spelling per line, so the
-# digest can be taken over the lines as read.  No two alternatives match the
-# same text and none holds a quantifier, so a match takes linear time and
-# ends at the first character that is not canonical.
+# The lines escape_line writes, and no others: one spelling per line, so a
+# file's body is the body of the collection it holds.  No two alternatives
+# match the same text and none holds a quantifier, so a match takes linear
+# time and ends at the first character that is not canonical.
 _CANONICAL = re.compile(r"(?:[ -\[\]-~]|\\\\|\\x(?:[01][0-9a-f]|7f|[89a-f][0-9a-f]))*")
 
 
@@ -257,8 +257,7 @@ def write_collection(collection: FuzzCollection, sink: BinaryIO) -> None:
         ("reduced-from", collection.reduced_from),
         ("digest", collection.digest),
     ]))
-    body = "".join([escape_line(record.bytes) + "\n" for record in collection.records])
-    sink.write(body.encode("ascii"))
+    sink.write(collection.body)
 
 
 def read_collection(source: BinaryIO) -> FuzzCollection:
@@ -267,12 +266,15 @@ def read_collection(source: BinaryIO) -> FuzzCollection:
     if lines and lines[-1] == "":
         lines.pop()  # the file's terminating LF, not an empty request
     headers, start = parse_header(lines, _FC_HEADER, "digest", optional=("reduced-from",))
-    body: list[bytes] = []
+    requests: list[bytes] = []
     for line_no, line in enumerate(lines[start:], start=start + 1):
         try:
-            body.append(unescape_line(line))
+            data = unescape_line(line)
         except ParseError as exc:
             raise ParseError(exc.reason, line_no, exc.column) from None
+        if 0x0D in data or 0x0A in data:  # it could not be sent as one line
+            raise ParseError("request must not contain CR or LF", line_no)
+        requests.append(data)
 
     try:
         config = FuzzConfig(
@@ -284,18 +286,17 @@ def read_collection(source: BinaryIO) -> FuzzCollection:
         line_no = next(n for n, line in enumerate(lines[:start], 1) if line.startswith(key))
         raise ParseError(str(exc), line_no) from None
 
-    stored = headers["digest"]
-    actual = body_digest(lines[start:])
-    if stored != actual:
-        raise IntegrityError(f"digest mismatch: header {stored}, body {actual}")
-
     reduced_from = headers.get("reduced-from")
-    if reduced_from is None and len(body) != config.record_count():
-        raise ParseError(f"expected {config.record_count()} requests, found {len(body)}")
-    if not body:
+    records = tuple(RequestRecord(i, data) for i, data in enumerate(requests))
+    collection = FuzzCollection(records, config, reduced_from)
+    stored = headers["digest"]
+    if stored != collection.digest:
+        raise IntegrityError(f"digest mismatch: header {stored}, body {collection.digest}")
+    if reduced_from is None and len(records) != config.record_count():
+        raise ParseError(f"expected {config.record_count()} requests, found {len(records)}")
+    if not records:
         raise ParseError("reduced collection has no requests")
-    records = tuple(RequestRecord(i, data) for i, data in enumerate(body))
-    return FuzzCollection(records, config, actual, reduced_from)
+    return collection
 
 
 def save_collection(collection: FuzzCollection, path) -> None:

@@ -2,10 +2,12 @@
 
 Two fingerprints are comparable only when they were taken with the same
 request collection (equal digests and vector lengths) and the same scan
-method (equal fp-versions; checked when a database is built and by the
-`match` command).  An observation is its token (`"200"`, `"TMO"`, ...), and
-agreement is exact token equality per position; fault sentinels count like
-codes, since the absence of a status code is itself a distinguishing signal.
+method (equal fp-versions; `match` checks the probe's).  A FingerprintDB
+checks its entries when it is built and names each by its label (`#label`,
+else the file stem) in every `match` output; rank checks only the probe.  An
+observation is its token (`"200"`, `"TMO"`, ...), and agreement is exact
+token equality per position; fault sentinels count like codes, since the
+absence of a status code is itself a distinguishing signal.
 
 A FingerprintDB packs its entries once, when it is built.  A table gives
 every distinct token of the database an id, and one more id, reserved, stands
@@ -45,15 +47,13 @@ class MatchResult:
 
     @property
     def percent(self) -> float:
-        """Display percentage, two decimals, rounded half away from zero."""
-        q, r = divmod(self.agree * 10000, self.total)
-        if 2 * r >= self.total:
-            q += 1
-        return q / 100
+        return _percent(self.agree, self.total)
 
 
-def display_label(fp: Fingerprint) -> str:
-    return fp.label if fp.label is not None else fp.target
+def _percent(agree: int, total: int) -> float:
+    """Display percentage, two decimals, rounded half away from zero."""
+    q, r = divmod(agree * 10000, total)
+    return (q + (2 * r >= total)) / 100
 
 
 def _check_comparable(a: Fingerprint, b: Fingerprint) -> None:
@@ -71,10 +71,11 @@ def _check_comparable(a: Fingerprint, b: Fingerprint) -> None:
 
 
 def match_pair(a: Fingerprint, b: Fingerprint) -> MatchResult:
-    """Count equal positions; the result is labelled after the candidate b."""
+    """Count equal positions; labelled after the candidate b's label or target."""
     _check_comparable(a, b)
     agree = sum(map(str.__eq__, a.observations, b.observations))
-    return MatchResult(display_label(b), agree, len(a.observations))
+    label = b.label if b.label is not None else b.target
+    return MatchResult(label, agree, len(a.observations))
 
 
 class _TokenIds(dict):
@@ -111,6 +112,8 @@ class FingerprintDB:
         lengths = {len(fp.observations) for fp in fingerprints.values()}
         if len(lengths) > 1:
             raise DatabaseError("entries disagree on observation count")
+        if lengths == {0}:
+            raise DatabaseError("entries hold no observations")
         versions = {fp.fp_version for fp in fingerprints.values()}
         if len(versions) > 1:
             old = ", ".join(label for label, fp in sorted(fingerprints.items())
@@ -178,12 +181,6 @@ class FingerprintDB:
     def __getitem__(self, label: str) -> Fingerprint:
         return self._by_label[label]
 
-    def items(self):
-        return self._by_label.items()
-
-    def fingerprints(self):
-        return tuple(self._by_label.values())
-
     def columns(self):
         """Token ids position by position: one string per position holding
         each entry's id in label order, a strided slice of the row-major id
@@ -193,7 +190,7 @@ class FingerprintDB:
 
 
 def rank(probe: Fingerprint, db: FingerprintDB, k: int = 5) -> list[MatchResult]:
-    """Best k database entries by exact agreement ratio, ties by label."""
+    """Best k database entries by exact agreement ratio, ties by database label."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if probe.collection_digest != db.digest:
@@ -201,13 +198,14 @@ def rank(probe: Fingerprint, db: FingerprintDB, k: int = 5) -> list[MatchResult]
             "probe was taken with a different collection than the database "
             f"entries {', '.join(db.labels)}"
         )
-    fps = db.fingerprints()
-    _check_comparable(probe, fps[0])
+    total = db._length
+    if len(probe.observations) != total:
+        raise IncomparableError(
+            f"vector lengths differ: {len(probe.observations)} vs {total}")
     packed = db._encode(probe)
-    total = len(probe.observations)
     results = [
-        MatchResult(display_label(fp), db._agree(packed, entry), total)
-        for fp, entry in zip(fps, db._packed)
+        MatchResult(label, db._agree(packed, entry), total)
+        for label, entry in zip(db.labels, db._packed)
     ]
     results.sort(key=lambda m: (-m.agree, m.label))  # one total, so agree orders ratio
     return results[:k]
@@ -217,15 +215,10 @@ def match_matrix(db: FingerprintDB) -> list[list[float]]:
     """All-pairs percent matrix in label order; symmetric, diagonal 100.00."""
     if len(db) < 2:
         raise DatabaseError("matrix needs at least two fingerprints")
-    fps = db.fingerprints()
-    _check_comparable(fps[0], fps[-1])  # entries share digest and length
-    n = len(fps)
-    total = len(fps[0].observations)
+    n, total = len(db), db._length
     matrix = [[100.0] * n for _ in range(n)]
     for (i, a), (j, b) in combinations(enumerate(db._packed), 2):
-        percent = MatchResult(display_label(fps[j]), db._agree(a, b), total).percent
-        matrix[i][j] = percent
-        matrix[j][i] = percent
+        matrix[i][j] = matrix[j][i] = _percent(db._agree(a, b), total)
     return matrix
 
 

@@ -14,7 +14,7 @@ import io
 from dataclasses import dataclass, replace
 
 from .errors import FingerfuzzError, InsufficientDataError
-from .fuzzgen import FuzzCollection, RequestRecord, body_digest, escape_line
+from .fuzzgen import FuzzCollection, RequestRecord
 from .matcher import FingerprintDB
 from .scanner import Fingerprint
 
@@ -61,8 +61,7 @@ def reduce_collection(full: FuzzCollection, sel: IndexSelection) -> FuzzCollecti
         RequestRecord(new_index, full.records[old_index].bytes)
         for new_index, old_index in enumerate(sel.kept)
     )
-    digest = body_digest(escape_line(r.bytes) for r in records)
-    return FuzzCollection(records, full.config, digest, reduced_from=full.digest)
+    return FuzzCollection(records, full.config, reduced_from=full.digest)
 
 
 def project_fingerprint(

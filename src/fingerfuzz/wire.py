@@ -106,7 +106,12 @@ class TargetSpec:
 
     @property
     def descriptor(self) -> str:
-        return f"{self.host}:{self.port}"
+        return host_port(self.host, self.port)
+
+
+def host_port(host: str, port: int) -> str:
+    """`host:port`, an IPv6 address in brackets, as a targets file spells it."""
+    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
 
 
 class ReplyAccumulator:

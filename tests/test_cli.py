@@ -13,7 +13,8 @@ from fingerfuzz.cli import UsageError, _parse_host_port, main
 from fingerfuzz.errors import IntegrityError
 from fingerfuzz.fuzzgen import FuzzConfig, build_collection, load_collection, save_collection
 from fingerfuzz.labserver import LabServer, Rule, ServerScript, save_script
-from fingerfuzz.scanner import load_fingerprint, save_fingerprint
+from fingerfuzz.scanner import Fingerprint, load_fingerprint, save_fingerprint
+from fingerfuzz.wire import TargetSpec
 
 from conftest import constant_script, is_base
 from test_scanner import predict_token
@@ -100,6 +101,27 @@ def test_seed_env_fallback_and_flag_precedence(tmp_path, monkeypatch):
 def test_bad_seed_env_is_usage_error(tmp_path, monkeypatch):
     monkeypatch.setenv("FINGERFUZZ_SEED", "banana")
     assert main(["generate", "-o", str(tmp_path / "x.fc")]) == 2
+
+
+def test_generate_refusals_are_usage_errors(tmp_path, monkeypatch, capsys):
+    # a seed beyond 64 bits, by flag or environment, and a commands file that
+    # FuzzConfig refuses are usage errors, and nothing is written
+    out = tmp_path / "x.fc"
+    too_big = str(2**64)
+    assert main(["generate", "--seed", too_big, "-o", str(out)]) == 2
+    assert "'seed': must fit in 64 bits" in capsys.readouterr().err
+    monkeypatch.setenv("FINGERFUZZ_SEED", too_big)
+    assert main(["generate", "-o", str(out)]) == 2
+    assert "'seed': must fit in 64 bits" in capsys.readouterr().err
+    monkeypatch.delenv("FINGERFUZZ_SEED")
+    commands = tmp_path / "cmds.txt"
+    for text, reason in (("NOOP\nnoop\n", "bad mnemonic 'noop'"),
+                         ("NOOP\nSYST\nNOOP\n", "duplicate mnemonic 'NOOP'")):
+        commands.write_text(text)
+        assert main(["generate", "--commands", str(commands), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: invalid config field 'commands': {reason}\n")
+    assert not out.exists()
 
 
 # --- scan -----------------------------------------------------------------------
@@ -246,6 +268,20 @@ def test_parse_host_port(text, expected):
     assert _parse_host_port(text, 21) == expected
 
 
+@pytest.mark.parametrize("host, port", [
+    ("192.0.2.1", 21), ("192.0.2.1", 2121), ("ftp.example.org", 21), ("::1", 21),
+    ("::1", 2121), ("2001:db8::7", 990),
+])
+def test_target_descriptor_reads_back(host, port):
+    assert _parse_host_port(TargetSpec(host, port).descriptor, 21) == (host, port)
+
+
+def test_target_usage_error_brackets_an_ipv6_host(tmp_path, capsys):
+    assert main(["scan", "--collection", str(tmp_path / "absent.fc"), "--host", "::1",
+                 "--timeout", "0.1", "--drain-window", "0.2", "-o", str(tmp_path / "x.fp")]) == 2
+    assert capsys.readouterr().err.startswith("usage error: target [::1]:21: drain_window")
+
+
 @pytest.mark.parametrize("text", ["[::1", "[::1]2121", "[::1]:", "[::1]:x", "host:", "host:x"])
 def test_parse_host_port_refuses_a_bad_target(text):
     with pytest.raises(UsageError, match="bad target"):
@@ -377,9 +413,26 @@ def test_scan_rejects_an_ipv6_target_listed_twice_before_connecting(tmp_path, la
     code = main(["scan", "--collection", str(tmp_path / "absent.fc"), "--targets", str(targets),
                  "--port", "21", *FAST_SCAN, "-o", str(out_dir)])
     assert code == 2
-    assert capsys.readouterr().err == "usage error: targets file lists ::1:21 more than once\n"
+    assert capsys.readouterr().err == "usage error: targets file lists [::1]:21 more than once\n"
     assert server.connections == 0
     assert not out_dir.exists()
+
+
+def test_scan_refuses_a_request_holding_a_line_break_before_connecting(tmp_path, tiny_fc,
+                                                                       lab_factory, capsys):
+    server = lab_factory(constant_script("unused", 200))
+    lines = tiny_fc.read_bytes().split(b"\n")
+    assert lines[8] == b"NOOP"
+    lines[8] = b"NOOP\\x0aSYST"
+    lines[7] = b"#digest " + hashlib.sha256(b"\n".join(lines[8:])).hexdigest().encode()
+    tiny_fc.write_bytes(b"\n".join(lines))
+    out = tmp_path / "x.fp"
+    assert main(["scan", "--collection", str(tiny_fc), "--host", "127.0.0.1",
+                 "--port", str(server.port), *FAST_SCAN, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tiny_fc}: line 9: request must not contain CR or LF\n")
+    assert server.connections == 0
+    assert not out.exists()
 
 
 # --- match ----------------------------------------------------------------------
@@ -478,6 +531,28 @@ def test_match_matrix_csv(match_fixture, capsys):
     agree = sum(1 for x, y in zip(bravo, carol) if x == y)
     expected = f"{100 * agree / len(bravo):.2f}"
     assert cells[1][3] == expected and cells[2][2] == expected
+
+
+def test_match_names_unlabeled_entries_by_file_stem(tmp_path, capsys):
+    # a --targets sweep writes unlabeled entries that may share a #target;
+    # every match output names each by the one database label, its file stem
+    def fp(tokens, label=None):
+        return Fingerprint(collection_digest="aa" * 32, target="192.0.2.1:21",
+                           observations=tuple(tokens), label=label, login=("230",))
+
+    db_dir = tmp_path / "db"
+    db_dir.mkdir()
+    save_fingerprint(fp(["200", "500"]), db_dir / "a.fp")
+    save_fingerprint(fp(["502", "550"]), db_dir / "b.fp")
+    probe = tmp_path / "probe.fp"
+    save_fingerprint(fp(["200", "500"], label="probe"), probe)
+    match = ["match", "--db", str(db_dir), "--fingerprint", str(probe)]
+    assert main(match) == 0
+    assert capsys.readouterr().out == "1. a  100.00%  (2/2)\n2. b  0.00%  (0/2)\n"
+    assert main([*match, "--json"]) == 0
+    assert [m["label"] for m in json.loads(capsys.readouterr().out)] == ["a", "b"]
+    assert main(["match", "--db", str(db_dir), "--matrix"]) == 0
+    assert capsys.readouterr().out == "label,a,b\na,100.00,0.00\nb,0.00,100.00\n"
 
 
 def test_match_digest_mismatch_exits_1(tmp_path, match_fixture, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 
 import pytest
@@ -85,7 +86,7 @@ def test_bad_escape_reports_line_number(four_record_collection):
 
 
 def test_second_spelling_of_a_request_is_refused(four_record_collection):
-    # the digest is taken over the lines as read, so an escape that
+    # the digest is taken over the requests escaped again, so an escape that
     # escape_line would not write is refused, not re-escaped to match
     odd = build_collection(FuzzConfig(commands=("NOOP",), max_arg_len=1, instances=1,
                                       mutations=1, seed=2))
@@ -101,6 +102,21 @@ def test_second_spelling_of_a_request_is_refused(four_record_collection):
         with pytest.raises(ParseError) as err:
             read_collection(io.BytesIO(b"\n".join(lines)))
         assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize("escape", [b"\\x0a", b"\\x0d"])
+def test_request_holding_a_line_break_is_refused(tmp_path, four_record_collection, escape):
+    # such a request cannot be sent as one line; it is refused on load even
+    # under a digest that matches the body
+    lines = serialize(four_record_collection).split(b"\n")
+    assert lines[8] == b"NOOP"
+    lines[8] = b"NOOP" + escape + b"SYST"
+    lines[7] = b"#digest " + hashlib.sha256(b"\n".join(lines[8:])).hexdigest().encode()
+    path = tmp_path / "broken.fc"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        load_collection(path)
+    assert str(err.value) == f"{path}: line 9: request must not contain CR or LF"
 
 
 def test_missing_header_is_rejected(four_record_collection):

@@ -203,6 +203,25 @@ def test_rank_order_stable_under_entry_removal():
         assert order == [label for label in full_order if label != removed]
 
 
+def test_rank_labels_results_by_database_label():
+    # the keys differ from every entry's own label, which may be absent; a
+    # result carries the key, as the matrix does
+    chooser = random.Random(59)
+    for _ in range(50):
+        length = chooser.randint(1, 40)
+        entries = {
+            f"k{i}": make_fp(random_tokens(chooser, length),
+                             label=chooser.choice([None, "fp", f"k{i + 1}"]))
+            for i in range(chooser.randint(1, 6))
+        }
+        probe = make_fp(random_tokens(chooser, length), label="probe")
+        db = FingerprintDB(entries)
+        results = rank(probe, db, k=len(db))
+        assert sorted(m.label for m in results) == list(db.labels) == sorted(entries)
+        for m in results:
+            assert m.agree == brute_force_agreement(probe, db[m.label])
+
+
 def test_rank_digest_mismatch_names_entries():
     probe = make_fp(["200"], digest=DIGEST_B, label="probe")
     db = FingerprintDB({"known": make_fp(["200"], label="known")})
@@ -329,8 +348,10 @@ def test_width_boundary_matches_brute_force(distinct, unknown):
         [entries[label] for label in labels])
 
 
-def test_zero_length_entries_build_but_do_not_rank():
-    db = FingerprintDB({"a": make_fp([], label="a"), "b": make_fp([], label="b")})
-    assert list(db.columns()) == []
-    with pytest.raises(IncomparableError):
-        rank(make_fp([], label="probe"), db)
+def test_zero_length_entries_are_refused():
+    with pytest.raises(DatabaseError, match="no observations"):
+        FingerprintDB({"a": make_fp([], label="a"), "b": make_fp([], label="b")})
+    db = FingerprintDB({"a": make_fp(["200"], label="a")})
+    for tokens in ([], ["200", "200"]):
+        with pytest.raises(IncomparableError, match="vector lengths differ"):
+            rank(make_fp(tokens, label="probe"), db)

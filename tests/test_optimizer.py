@@ -80,7 +80,7 @@ def test_provenance_matches_brute_force():
                                        observations=mixed_observations(chooser, tokens))
         db = FingerprintDB(entries)
         sel = discriminating_indexes(db)
-        fps = db.fingerprints()
+        fps = [db[label] for label in db.labels]
         for index, count in zip(sel.kept, sel.provenance):
             expected = sum(
                 1 for x, y in combinations(fps, 2)
@@ -236,8 +236,7 @@ def test_discrimination_preserved_after_reduction(lab_factory):
     reduced = reduce_collection(collection, sel)
 
     projected = {
-        label: project_fingerprint(fp, sel, reduced.digest)
-        for label, fp in db.items()
+        label: project_fingerprint(db[label], sel, reduced.digest) for label in db.labels
     }
     for a, b in combinations(sorted(projected), 2):
         full_ratio = match_pair(db[a], db[b]).ratio
