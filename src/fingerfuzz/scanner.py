@@ -14,12 +14,13 @@ is made before any other connection: a refused login opens no second one.
 connection, a timeout (TMO), a reply cut off by the timeout (GBL) or a
 local send or receive failure.  The unsent rest of its run then goes back
 to the front of the queue as a run of its own, so that later positions
-stay aligned with their requests.  A request whose send or receive failed
-locally goes out again the same way; its RECONNECT_ATTEMPTS-th such
-failure ends the scan.  When the target refuses a fresh session while
-other sessions still work (servers cap connections per address), the
-refused one hands its run back the same way and retires, so the pool
-shrinks to what the target admits and no request is sent twice.
+stay aligned with their requests; so does a run whose fresh connect or
+login fails.  When the target refuses a fresh session while other
+sessions still work (servers cap connections per address), the refused
+one retires, so the pool shrinks to what the target admits and no request
+is sent twice.  A local send or receive failure, or the last session's
+refusal, counts at the run's first unsent request; the
+RECONNECT_ATTEMPTS-th failure at one request ends the scan.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class _SessionPool:
         self._changed = threading.Condition()
         self._halt = threading.Event()
         self._error: BaseException | None = None
-        self._failures: Counter[int] = Counter()  # TransportErrors per index, by the run's holder
+        self._failures: Counter[int] = Counter()  # failures per index, by the run's holder
 
     def scan(self) -> tuple[ReplyObservation, ...]:
         """Run the workers to the end; raise the first failure of any."""
@@ -171,65 +172,53 @@ class _SessionPool:
             return (session, *self._runs.popleft())
 
     def _scan_run(self, session: FtpSession | None, start: int, end: int) -> bool:
-        """Send records[start:end] on one login until the session dies, and
-        queue the unsent rest; False once this worker has to leave."""
-        if session is None and (session := self._fresh_session(start, end)) is None:
-            return False
+        """Send records[start:end] on one login, a fresh one if `session` is
+        None, until the session dies, and queue the unsent rest; False once
+        this worker retires."""
         index = start
+        failure = None
         try:
+            if session is None:
+                session = wire.connect(self.target)
+                session.login()
             while index < end and not self._halt.is_set():
-                try:
-                    self.observations[index] = session.exchange(self.records[index].bytes)
-                except TransportError as exc:  # the session is closed
-                    self._failures[index] += 1
-                    if self._failures[index] == RECONNECT_ATTEMPTS:
-                        raise PartialScanError(
-                            f"transport failure at request {self.records[index].index}: {exc}"
-                        ) from exc
-                    break
+                self.observations[index] = session.exchange(self.records[index].bytes)
                 index += 1
                 if self.delay > 0:
                     self._halt.wait(self.delay)
                 if not session.alive:
                     break
+        except (ConnectError, ScanRefusedError, TransportError) as exc:  # no session left
+            failure = exc
         finally:
-            session.close()
-        self._release((index, end) if index < end else None)
-        return True
+            if session is not None:
+                session.close()
+        return self._release(index, end, failure)
 
-    def _release(self, rest: tuple[int, int] | None, retire: bool = False) -> None:
-        """End the held run: queue its unsent rest first; retire if asked."""
+    def _release(self, index: int, end: int, failure: Exception | None) -> bool:
+        """End the held run and queue its unsent rest first.  A refused
+        session retires this worker while others still work; any other
+        failure counts at `index`.  False once this worker retires."""
         with self._changed:
             self._held -= 1
-            self._live -= retire
-            if rest is not None:
-                self._runs.appendleft(rest)
+            if index < end:
+                self._runs.appendleft((index, end))
             self._changed.notify_all()
-
-    def _fresh_session(self, start: int, end: int) -> FtpSession | None:
-        """A logged-in session for records[start:end], or None once the
-        scan halts or this worker handed the run back and retired.  Only
-        the last worker retries a refused session."""
-        for _ in range(RECONNECT_ATTEMPTS):
-            try:
-                session = wire.connect(self.target)
-                session.login()
-                return session
-            except (ConnectError, ScanRefusedError, TransportError) as exc:
-                last_error = exc
-            with self._changed:
-                if self._live > 1:
-                    self._release((start, end), retire=True)
-                    # under the lock, so the counts are logged in order
-                    log.warning("%s refused a new session; scanning on with %d: %s",
-                                self.target.descriptor, self._live, last_error)
-                    return None
-            if self._halt.is_set():
-                return None
-        raise PartialScanError(
-            f"reconnect to {self.target.descriptor} failed {RECONNECT_ATTEMPTS} times: "
-            f"{last_error}"
-        )
+            if failure is None:
+                return True
+            if not isinstance(failure, TransportError) and self._live > 1:
+                self._live -= 1
+                # under the lock, so the counts are logged in order
+                log.warning("%s refused a new session; scanning on with %d: %s",
+                            self.target.descriptor, self._live, failure)
+                return False
+            self._failures[index] += 1
+            if self._failures[index] == RECONNECT_ATTEMPTS:
+                raise PartialScanError(
+                    f"request {self.records[index].index} to {self.target.descriptor} "
+                    f"failed {RECONNECT_ATTEMPTS} times: {failure}"
+                ) from failure
+        return True
 
 
 def _format_created(stamp: datetime) -> str:

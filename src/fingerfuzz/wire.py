@@ -37,7 +37,7 @@ ANONYMOUS_PASSWORD = "guest@example.com"
 # about 6 s at 2, 3 s at 4, 1.9 s at 8), but on a loaded host the scan time
 # varies from run to run by a share that does not shrink with the speed-up;
 # 4 is the most whose spread in requests per second stayed within the
-# benchmark's bound (ROADMAP item 3).
+# benchmark's bound (CHANGES.md, "Elastic scan sessions, four by default").
 DEFAULT_SESSIONS = 4
 MAX_SESSIONS = 32
 

@@ -479,7 +479,7 @@ def test_transport_failures_resend_the_request_on_a_fresh_login(responder_factor
     if failures == RECONNECT_ATTEMPTS:
         threads_before = threading.active_count()
         with pytest.raises(PartialScanError,
-                           match=f"transport failure at request {chosen.index}: "):
+                           match=f"request {chosen.index} to .* failed {RECONNECT_ATTEMPTS} times: "):
             fingerprint_target(collection, target)
         assert threading.active_count() == threads_before
         return
