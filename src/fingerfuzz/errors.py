@@ -57,8 +57,4 @@ class IncomparableError(FingerfuzzError):
 
 
 class DatabaseError(FingerfuzzError):
-    """Fingerprint database directory is unusable (duplicates, mixed digests)."""
-
-
-class InsufficientDataError(FingerfuzzError):
-    """Operation needs more fingerprints than the database holds."""
+    """Fingerprint database is unusable (duplicates, mixed digests, too few)."""

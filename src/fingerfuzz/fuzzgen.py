@@ -10,7 +10,8 @@ A request is its index and its bytes, nothing more.  The layout is defined
 once, by `FuzzConfig.block_length`: the (L+1) * n * (m+1) requests of one
 command form a block, and block i belongs to the i-th command.  A collection
 escapes its requests once, when it is made: its file body and the digest
-over that body are derived from its records.
+over that body are derived from its records, or from the lines of the file
+it was read from, which are the lines escape_line writes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import BinaryIO, Iterable
 
 from .errors import ConfigError, IntegrityError, ParseError
@@ -117,9 +118,13 @@ class FuzzCollection:
     # the file body, one escaped request per LF-terminated line, and its SHA-256
     body: bytes = field(init=False, compare=False, repr=False)
     digest: str = field(init=False)
+    # the escaped lines of `records`, where a file read them already
+    _lines: InitVar[list[str] | None] = None
 
-    def __post_init__(self):
-        body = "".join([escape_line(record.bytes) + "\n" for record in self.records])
+    def __post_init__(self, _lines):
+        if _lines is None:
+            _lines = [escape_line(record.bytes) for record in self.records]
+        body = "".join([line + "\n" for line in _lines])
         object.__setattr__(self, "body", body.encode("ascii"))
         object.__setattr__(self, "digest", hashlib.sha256(self.body).hexdigest())
 
@@ -266,8 +271,9 @@ def read_collection(source: BinaryIO) -> FuzzCollection:
     if lines and lines[-1] == "":
         lines.pop()  # the file's terminating LF, not an empty request
     headers, start = parse_header(lines, _FC_HEADER, "digest", optional=("reduced-from",))
+    body = lines[start:]
     requests: list[bytes] = []
-    for line_no, line in enumerate(lines[start:], start=start + 1):
+    for line_no, line in enumerate(body, start=start + 1):
         try:
             data = unescape_line(line)
         except ParseError as exc:
@@ -288,7 +294,8 @@ def read_collection(source: BinaryIO) -> FuzzCollection:
 
     reduced_from = headers.get("reduced-from")
     records = tuple(RequestRecord(i, data) for i, data in enumerate(requests))
-    collection = FuzzCollection(records, config, reduced_from)
+    # the lines read are the body: unescape_line refuses any other spelling
+    collection = FuzzCollection(records, config, reduced_from, _lines=body)
     stored = headers["digest"]
     if stored != collection.digest:
         raise IntegrityError(f"digest mismatch: header {stored}, body {collection.digest}")

@@ -13,7 +13,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 
-from .errors import FingerfuzzError, InsufficientDataError
+from .errors import DatabaseError, FingerfuzzError
 from .fuzzgen import FuzzCollection, RequestRecord
 from .matcher import FingerprintDB
 from .scanner import Fingerprint
@@ -30,7 +30,7 @@ def discriminating_indexes(db: FingerprintDB) -> IndexSelection:
     """Indexes where at least one unordered pair of fingerprints differs,
     counted on each position's string of token ids (`FingerprintDB.columns`)."""
     if len(db) < 2:
-        raise InsufficientDataError("need at least two fingerprints to compare")
+        raise DatabaseError("need at least two fingerprints to compare")
     all_pairs = len(db) * (len(db) - 1) // 2
     kept: list[int] = []
     provenance: list[int] = []

@@ -65,33 +65,44 @@ def is_base(config, record) -> bool:
             and all(0x20 <= b <= 0x7E for b in arg))
 
 
-def lab_oracle(script: ServerScript, collection) -> tuple[str, ...]:
+def logged_in(script: ServerScript) -> LabSession:
+    """A lab session past the anonymous login, as a scan makes it.  From
+    here on its replies depend on the request line alone."""
+    session = LabSession(script)
+    _, reply, _ = session.respond(f"USER {ANONYMOUS_USER}".encode("ascii"))
+    if reply[:3] in (b"331", b"332"):
+        session.respond(f"PASS {ANONYMOUS_PASSWORD}".encode("ascii"))
+    return session
+
+
+def lab_oracle(script: ServerScript, collection, faults=None) -> tuple[str, ...]:
     """The tokens a scan of `collection` at FAST_REPLY_TIMEOUT must record
     against a LabServer of `script`, by the scanner's documented rules.  Each
     run of one command block (`index // block_length`) starts on a fresh
     session and login, and so does the rest of a run after a DRP or TMO.
     Silence, or a delay at or above the reply timeout, is TMO; a drop is DRP;
     any other reply is its code.  It drives the target's own LabSession, not
-    the scanner's code."""
+    the scanner's code.  `faults` maps the index of a fault injected into the
+    target to the token it decides there (DRP or TMO), or to None where the
+    scripted reply stays; either way the connection ends after it."""
+    faults = faults or {}
     block = collection.config.block_length
     tokens = []
     session = run = None
     for record in collection.records:
         if session is None or record.index // block != run:
             run = record.index // block
-            session = LabSession(script)
-            _, reply, _ = session.respond(f"USER {ANONYMOUS_USER}".encode("ascii"))
-            if reply[:3] in (b"331", b"332"):
-                session.respond(f"PASS {ANONYMOUS_PASSWORD}".encode("ascii"))
+            session = logged_in(script)
         action, reply, delay = session.respond(record.bytes)
         if action == "DROP":
-            tokens.append(DRP)
+            token = DRP
         elif reply is None or delay >= FAST_REPLY_TIMEOUT:
-            tokens.append(TMO)
+            token = TMO
         else:
-            tokens.append(reply[:3].decode("ascii"))
-            continue
-        session = None
+            token = reply[:3].decode("ascii")
+        tokens.append(faults.get(record.index) or token)
+        if tokens[-1] in (DRP, TMO) or record.index in faults:
+            session = None
     return tuple(tokens)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import socket
 import subprocess
 import sys
@@ -13,10 +14,10 @@ from fingerfuzz.cli import UsageError, _parse_host_port, main
 from fingerfuzz.errors import IntegrityError
 from fingerfuzz.fuzzgen import FuzzConfig, build_collection, load_collection, save_collection
 from fingerfuzz.labserver import LabServer, Rule, ServerScript, save_script
-from fingerfuzz.scanner import Fingerprint, load_fingerprint, save_fingerprint
+from fingerfuzz.scanner import Fingerprint, fingerprint_target, load_fingerprint, save_fingerprint
 from fingerfuzz.wire import TargetSpec
 
-from conftest import constant_script, is_base
+from conftest import constant_script, fast_target, is_base
 from test_scanner import predict_token
 
 FAST_SCAN = ["--timeout", "0.25", "--drain-window", "0.01"]
@@ -126,14 +127,14 @@ def test_generate_refusals_are_usage_errors(tmp_path, monkeypatch, capsys):
 
 # --- scan -----------------------------------------------------------------------
 
+TINY_CONFIG = FuzzConfig(commands=("NOOP", "SYST"), max_arg_len=1, instances=1,
+                         mutations=1, seed=7)
+
+
 @pytest.fixture
 def tiny_fc(tmp_path):
     path = tmp_path / "tiny.fc"
-    collection = build_collection(
-        FuzzConfig(commands=("NOOP", "SYST"), max_arg_len=1, instances=1,
-                   mutations=1, seed=7)
-    )
-    save_collection(collection, path)
+    save_collection(build_collection(TINY_CONFIG), path)
     return path
 
 
@@ -437,9 +438,10 @@ def test_scan_refuses_a_request_holding_a_line_break_before_connecting(tmp_path,
 
 # --- match ----------------------------------------------------------------------
 
-@pytest.fixture
-def match_fixture(tmp_path, tiny_fc, lab_factory):
-    """Three scripted products scanned into a db plus a probe of product one."""
+@pytest.fixture(scope="session")
+def match_scans(tmp_path_factory):
+    """Three scripted products scanned into a db plus a probe of product one,
+    with the collection of `tiny_fc`, once per test session."""
     scripts = [
         constant_script("alpha", 200),
         constant_script("bravo", 500),
@@ -447,23 +449,27 @@ def match_fixture(tmp_path, tiny_fc, lab_factory):
                      rules=(Rule("NOOP", "ANY", "REPLY:250:x"),),
                      default_code=500),
     ]
-    collection = load_collection(tiny_fc)
-    db_dir = tmp_path / "db"
-    db_dir.mkdir()
-    from fingerfuzz.scanner import fingerprint_target
-    from conftest import fast_target
+    collection = build_collection(TINY_CONFIG)
+    root = tmp_path_factory.mktemp("match")
+    (root / "db").mkdir()
+    scans = [(script, script.name, root / "db" / f"{script.name}.fp") for script in scripts]
+    scans.append((constant_script("alpha-again", 200), "probe", root / "probe.fp"))
+    for script, label, path in scans:
+        server = LabServer(script).start()
+        try:
+            fp = fingerprint_target(collection, fast_target(server.port), label=label)
+        finally:
+            server.stop()
+        save_fingerprint(fp, path)
+    return root
 
-    for script in scripts:
-        server = lab_factory(script)
-        fp = fingerprint_target(collection, fast_target(server.port),
-                                label=script.name)
-        save_fingerprint(fp, db_dir / f"{script.name}.fp")
-    probe_server = lab_factory(constant_script("alpha-again", 200))
-    probe = fingerprint_target(collection, fast_target(probe_server.port),
-                               label="probe")
-    probe_path = tmp_path / "probe.fp"
-    save_fingerprint(probe, probe_path)
-    return db_dir, probe_path
+
+@pytest.fixture
+def match_fixture(match_scans, tmp_path):
+    """A copy of the scanned db and probe of its own, which a test may change."""
+    shutil.copytree(match_scans / "db", tmp_path / "db")
+    shutil.copy(match_scans / "probe.fp", tmp_path / "probe.fp")
+    return tmp_path / "db", tmp_path / "probe.fp"
 
 
 def test_match_report(match_fixture, capsys):
@@ -559,7 +565,6 @@ def test_match_digest_mismatch_exits_1(tmp_path, match_fixture, capsys):
     db_dir, _ = match_fixture
     other = build_collection(FuzzConfig(commands=("HELP",), max_arg_len=0,
                                         instances=1, mutations=0, seed=1))
-    from fingerfuzz.scanner import Fingerprint
 
     alien = Fingerprint(collection_digest=other.digest, target="x:21",
                         observations=("200",), label="alien",
@@ -648,8 +653,6 @@ def test_optimize_reduces_and_traces(tmp_path, tiny_fc, lab_factory, capsys):
     db_dir = tmp_path / "optdb"
     db_dir.mkdir()
     collection = load_collection(tiny_fc)
-    from fingerfuzz.scanner import fingerprint_target
-    from conftest import fast_target
 
     for label, noop_code in (("old", 200), ("new", 250)):
         script = ServerScript(
@@ -681,8 +684,6 @@ def test_optimize_identical_db_fails(tmp_path, tiny_fc, lab_factory, capsys):
     db_dir = tmp_path / "db"
     db_dir.mkdir()
     collection = load_collection(tiny_fc)
-    from fingerfuzz.scanner import fingerprint_target
-    from conftest import fast_target
 
     for label in ("clone-a", "clone-b"):
         server = lab_factory(constant_script(label, 502))

@@ -36,7 +36,9 @@ def test_round_trip(four_record_collection):
 
 def test_round_trip_default_sized():
     col = build_collection(FuzzConfig(max_arg_len=2, instances=1, mutations=1))
-    assert read_collection(io.BytesIO(serialize(col))) == col
+    back = read_collection(io.BytesIO(serialize(col)))
+    assert back == col
+    assert back.body == col.body  # the body read is the body escape_line writes
 
 
 def test_header_layout(four_record_collection):
@@ -86,8 +88,8 @@ def test_bad_escape_reports_line_number(four_record_collection):
 
 
 def test_second_spelling_of_a_request_is_refused(four_record_collection):
-    # the digest is taken over the requests escaped again, so an escape that
-    # escape_line would not write is refused, not re-escaped to match
+    # the digest is taken over the lines read, so an escape that escape_line
+    # would not write is refused, not taken into the digest
     odd = build_collection(FuzzConfig(commands=("NOOP",), max_arg_len=1, instances=1,
                                       mutations=1, seed=2))
     cases = [

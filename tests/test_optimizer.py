@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from fingerfuzz.errors import FingerfuzzError, InsufficientDataError
+from fingerfuzz.errors import DatabaseError, FingerfuzzError
 from fingerfuzz.fuzzgen import FuzzConfig, build_collection
 from fingerfuzz.labserver import Rule, ServerScript
 from fingerfuzz.matcher import FingerprintDB, match_pair
@@ -94,7 +94,7 @@ def test_provenance_matches_brute_force():
 
 
 def test_needs_two_entries():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DatabaseError, match="at least two fingerprints"):
         discriminating_indexes(db_of(["200"]))
 
 
