@@ -1,14 +1,23 @@
 from __future__ import annotations
 
 import io
+import logging
+import threading
 
 import pytest
 
-from fingerfuzz.errors import DatabaseError, ParseError, ScanRefusedError
-from fingerfuzz.fuzzgen import FuzzConfig, build_collection
+from fingerfuzz.errors import (
+    DatabaseError,
+    ParseError,
+    PartialScanError,
+    ScanRefusedError,
+    TransportError,
+)
+from fingerfuzz.fuzzgen import DEFAULT_COMMANDS, FuzzConfig, build_collection
 from fingerfuzz.labserver import Rule, ServerScript
 from fingerfuzz.matcher import FingerprintDB
 from fingerfuzz.scanner import (
+    RECONNECT_ATTEMPTS,
     Fingerprint,
     fingerprint_target,
     load_fingerprint,
@@ -16,9 +25,18 @@ from fingerfuzz.scanner import (
     save_fingerprint,
     write_fingerprint,
 )
-from fingerfuzz.wire import BY_TOKEN, DRP, GBL, TMO
+from fingerfuzz.wire import BY_TOKEN, DEFAULT_SESSIONS, DRP, GBL, TMO, FtpSession
 
-from conftest import ALL_TOKENS, constant_script, fast_target, layout
+from conftest import ALL_TOKENS, FAST_REPLY_TIMEOUT, constant_script, fast_target, layout
+from test_simulation import (  # noqa: F401  (simulate is a fixture)
+    codes,
+    counted,
+    raw_peer,
+    shrinks,
+    sim_target,
+    simulate,
+    wait_for_connections,
+)
 
 
 def predict_token(script: ServerScript, request: bytes) -> str:
@@ -178,6 +196,86 @@ def test_one_connection_per_segment(lab_factory):
     fp = fingerprint_target(collection, fast_target(server.port, sessions=2))
     assert fp.observations == ("200",) * len(collection.records)
     assert server.connections == 5
+
+
+# --- the session pool on the simulated network of tests/test_simulation.py -------
+
+def test_reply_cut_off_by_the_timeout_does_not_shift_alignment(simulate):
+    # The first reply stops short of its line end, and its tail comes after
+    # the reply timeout.  Read on the same connection, the tail would answer
+    # request 1 (GBL, GBL, 202, 203, 204), and the reply to request 1 would
+    # be lost.
+    def cut_off_first(n, line):
+        if net.connections == 1 and n == 0:
+            return [(0.0, b"200 par"), (FAST_REPLY_TIMEOUT + 0.15, b"tial\r\n")]
+        return counted(n, line)
+    net = simulate(raw_peer(cut_off_first))
+    collection = tiny_collection(max_arg_len=4, mutations=0)
+    assert len(collection.records) == collection.config.block_length == 5
+    fp = fingerprint_target(collection, sim_target(1))
+    assert fp.observations == (GBL, "200", "201", "202", "203")
+    assert net.connections == 2 and net.sent_once(collection)
+
+
+@pytest.mark.parametrize("failures", [RECONNECT_ATTEMPTS - 1, RECONNECT_ATTEMPTS])
+@pytest.mark.parametrize("sessions", [1, 4])
+def test_transport_failures_resend_the_request_on_a_fresh_login(simulate, monkeypatch,
+                                                                 sessions, failures):
+    # the session fails as wire does on a local send error: it closes, then raises
+    collection = tiny_collection(commands=DEFAULT_COMMANDS[:4], max_arg_len=2, mutations=1)
+    step = collection.config.block_length
+    chosen = collection.records[step + 2]
+    assert [r.bytes for r in collection.records].count(chosen.bytes) == 1
+    exchange = FtpSession.exchange
+    left = [failures]
+
+    def fails_locally(session, request):
+        if request == chosen.bytes and left[0]:
+            left[0] -= 1
+            session.close()
+            raise TransportError("send failed: injected")
+        return exchange(session, request)
+
+    monkeypatch.setattr(FtpSession, "exchange", fails_locally)
+    net = simulate(raw_peer(counted))
+    if failures == RECONNECT_ATTEMPTS:
+        threads_before = threading.active_count()
+        with pytest.raises(PartialScanError) as err:
+            fingerprint_target(collection, sim_target(sessions))
+        assert str(err.value) == (f"request {chosen.index} to 127.0.0.1:21 failed "
+                                  f"{RECONNECT_ATTEMPTS} times: send failed: injected")
+        assert threading.active_count() == threads_before
+        return
+    fp = fingerprint_target(collection, sim_target(sessions))
+    # the chosen request and the rest of its run go out on a fresh login
+    assert list(fp.observations) == codes(collection, fresh={chosen.index})
+    assert net.connections == len(collection.records) // step + failures
+    assert net.sent_once(collection)
+
+
+def body_of(fp: Fingerprint) -> bytes:
+    return b"".join(line + b"\n" for line in serialize(fp).splitlines()
+                    if not line.startswith(b"#"))
+
+
+@pytest.mark.parametrize("sessions,limit", [(DEFAULT_SESSIONS, 1), (4, 3)])
+def test_capped_target_shrinks_the_pool(simulate, caplog, sessions, limit):
+    # a capped target gives the fingerprint body of an uncapped one scanned
+    # on one session
+    collection = tiny_collection(commands=DEFAULT_COMMANDS[:9], max_arg_len=1, mutations=1)
+    simulate(raw_peer(counted))
+    reference = fingerprint_target(collection, sim_target(1))
+    net = simulate(raw_peer(counted), limit=limit,
+                   on_send=lambda line: wait_for_connections(net, sessions, line))
+    threads_before = threading.active_count()
+    with caplog.at_level(logging.WARNING, logger="fingerfuzz.scanner"):
+        fp = fingerprint_target(collection, sim_target(sessions))
+    assert threading.active_count() == threads_before
+    assert body_of(fp) == body_of(reference)
+    assert net.sent_once(collection)
+    assert shrinks(caplog) == list(range(sessions - 1, limit - 1, -1))
+    # one login per run, and one refused connect per shrink
+    assert net.connections == len(DEFAULT_COMMANDS[:9]) + sessions - limit
 
 
 # --- fingerprint files -----------------------------------------------------------
