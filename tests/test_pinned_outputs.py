@@ -7,7 +7,10 @@ escapes, so a change to generation or to the escape codec shows here.
 
 Each match database holds 30 entries of 600 positions with a fixed `#created`.
 The narrow one draws from 24 tokens, the wide one from all 503, so it holds
-more than 256 distinct tokens.  The sha256 of every output is pinned: a
+more than 256 distinct tokens.  Both rewrite random positions, so almost
+every position varies somewhere in them; the clustered one draws from the
+24 tokens but rewrites only 60% of the positions, so about half of its
+positions hold the same token in every entry.  The sha256 of every output is pinned: a
 change to how the matcher stores or counts its database must leave the
 bytes of `match`, `match --json`, `match --matrix` and `optimize` (the
 reduced `.fc` and the `--emit-indexes` CSV) as they are.
@@ -62,6 +65,17 @@ PINS = {
         "reduced-fc": "957891d42033fa4d25f0dd5453b4c0d2652f5fef204cdf2a0a852d07bb73cc65",
         "indexes-csv": "c5cffa4e9924fe0a3c0dbb269ad872854008478cadd7a39913a6440f981eb02d",
     },
+    "clustered": {
+        "match-0": "c8209247b13823d3905dbea236008ea777ca88e06af378dabdbd1e4a3d06b1c4",
+        "match-1": "5eeddc07ecc6677f681071bef22a6de7c6a8cdf88b5767a169426f58eb0be004",
+        "match-2": "62da01d96438b22577200790958719df7edea9dc86c43fd05058f81917fc5cc1",
+        "json-0": "f192fbecb43486f2419c9813290d96f2514cb9a33c471f704c3069c74b6d797f",
+        "json-1": "779b6e183474358aebcf7e45bc0a6ba3d08d6f5cfe6570ac1c4d157146da3001",
+        "json-2": "d93c7a06d23e25675e0619e0a217c0a445617dbb8f21cdcc1b4cd09cc0b67585",
+        "matrix": "b8b11c16c7a0ea9679bf339028bbd141784bb367a7cbfe641402c37d84aafecf",
+        "reduced-fc": "b10c8d1684a8c1d8fe2fc68dfa49311ac29a7331b2394e5ffdd5950bb29010fe",
+        "indexes-csv": "c19e609badd3957916383688f3eb9fe0798c0c29ad9a1edef20ed94193f0e6f1",
+    },
 }
 
 
@@ -93,25 +107,28 @@ def fingerprint(digest: str, label: str, tokens) -> Fingerprint:
     )
 
 
-def write_inputs(tmp_path, pool, seed):
+def write_inputs(tmp_path, pool, seed, varying=1.0):
     """A collection, a database of families that rewrite a shared base
-    vector, and three probes: each a member with positions changed, some to
-    tokens no entry holds."""
+    vector at a `varying` share of its positions, and three probes: each a
+    member with positions changed anywhere, some to tokens no entry holds."""
     collection = build_collection(CONFIG)
     size = len(collection.records)
     fc = tmp_path / "full.fc"
     save_collection(collection, fc)
     chooser = random.Random(seed)
     base = [chooser.choice(pool) for _ in range(size)]
+    positions = range(size)
+    if varying < 1:
+        positions = sorted(chooser.sample(positions, int(size * varying)))
     db_dir = tmp_path / "db"
     db_dir.mkdir()
     vectors = []
     for family in range(ENTRIES // 5):
         current = list(base)
-        for pos in chooser.sample(range(size), size // 4):
+        for pos in chooser.sample(positions, len(positions) // 4):
             current[pos] = chooser.choice(pool)
         for version in range(5):
-            for pos in chooser.sample(range(size), chooser.randint(0, 12)):
+            for pos in chooser.sample(positions, chooser.randint(0, 12)):
                 current[pos] = chooser.choice(pool)
             label = f"fam{family}-v{version}"
             save_fingerprint(fingerprint(collection.digest, label, current),
@@ -129,7 +146,8 @@ def write_inputs(tmp_path, pool, seed):
         path = tmp_path / f"probe{n}.fp"
         save_fingerprint(fingerprint(collection.digest, f"probe{n}", noisy), path)
         probes.append(path)
-    return fc, db_dir, probes, len(held)
+    constant = sum(len(set(column)) == 1 for column in zip(*vectors))
+    return fc, db_dir, probes, len(held), constant
 
 
 def sha(data) -> str:
@@ -138,10 +156,13 @@ def sha(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("name, pool, seed", [("narrow", NARROW, 5), ("wide", ALL_TOKENS, 6)])
+@pytest.mark.parametrize("name, pool, seed", [
+    ("narrow", NARROW, 5), ("wide", ALL_TOKENS, 6), ("clustered", NARROW, 7)])
 def test_outputs_are_pinned(tmp_path, capsys, name, pool, seed):
-    fc, db_dir, probes, distinct = write_inputs(tmp_path, pool, seed)
+    varying = 0.6 if name == "clustered" else 1.0
+    fc, db_dir, probes, distinct, constant = write_inputs(tmp_path, pool, seed, varying)
     assert (distinct > 256) == (name == "wide")
+    assert (constant > 200) == (name == "clustered")  # 273 of 600 positions
     got = {}
     for n, probe in enumerate(probes):
         assert main(["match", "--db", str(db_dir), "--fingerprint", str(probe),
