@@ -10,6 +10,7 @@ import argparse
 import json
 import logging
 import os
+import signal
 import sys
 import threading
 from collections import Counter
@@ -349,6 +350,8 @@ def cmd_lab(args) -> int:
         return 2
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(message)s")
+    # a SIGTERM stops the server like Ctrl-C, so the counts below are printed
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     server = labserver.LabServer(script, port=args.port).start()
     print(f"serving '{script.name}' on port {server.port}", flush=True)
     try:
@@ -357,6 +360,9 @@ def cmd_lab(args) -> int:
         pass
     finally:
         server.stop()
+    print(f"{server.connections} connections; requests by action:", file=sys.stderr)
+    for action, count in sorted(server.actions.items()):
+        print(f"  {action}: {count}", file=sys.stderr)
     return 0
 
 

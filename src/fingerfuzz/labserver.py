@@ -18,6 +18,7 @@ import logging
 import re
 import socket
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -186,7 +187,11 @@ class LabSession:
 
 
 class LabServer:
-    """Threaded listener; every connection evaluates the script independently."""
+    """Threaded listener; every connection evaluates the script independently.
+
+    Each connection counts the actions it took (`LabSession.respond`'s
+    first value) and adds them to `actions` when it ends; `stop` ends the
+    connections still open, so after it `actions` holds every request."""
 
     def __init__(self, script: ServerScript, host: str = "127.0.0.1", port: int = 0):
         self.script = script
@@ -196,6 +201,9 @@ class LabServer:
         self._accept_thread: threading.Thread | None = None
         self._stopping = threading.Event()
         self.connections = 0  # accepted so far
+        self.actions: Counter[str] = Counter()  # of the connections that ended
+        self._lock = threading.Lock()  # guards actions and _open
+        self._open: dict[socket.socket, threading.Thread] = {}
 
     def start(self) -> "LabServer":
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -227,6 +235,12 @@ class LabServer:
         if self._listener is not None:
             self._listener.close()
             self._listener = None
+        with self._lock:
+            still_open = list(self._open.items())
+        for conn, handler in still_open:
+            with contextlib.suppress(OSError):  # the handler may have closed it
+                conn.shutdown(socket.SHUT_RDWR)
+            handler.join(timeout=5)
 
     def __enter__(self) -> "LabServer":
         return self.start()
@@ -241,9 +255,21 @@ class LabServer:
             except OSError:
                 return
             self.connections += 1
-            threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
+            handler = threading.Thread(target=self._handle, args=(conn,), daemon=True)
+            with self._lock:
+                self._open[conn] = handler
+            handler.start()
 
     def _handle(self, conn: socket.socket) -> None:
+        counts: Counter[str] = Counter()
+        try:
+            self._serve(conn, counts)
+        finally:
+            with self._lock:
+                self.actions.update(counts)
+                del self._open[conn]
+
+    def _serve(self, conn: socket.socket, counts: Counter) -> None:
         session = LabSession(self.script)
         # any OSError, the idle timeout too, ends the connection
         with conn, contextlib.suppress(OSError):
@@ -261,7 +287,8 @@ class LabServer:
                 line = bytes(buffer[:newline]).rstrip(b"\r")
                 del buffer[: newline + 1]
                 action, payload, delay = session.respond(line)
-                log.info("%s %r -> %s", self.script.name, line, action)
+                counts[action] += 1
+                log.debug("%s %r -> %s", self.script.name, line, action)
                 if action == "DROP":
                     return
                 if payload is None:

@@ -27,20 +27,18 @@ class IndexSelection:
 
 
 def discriminating_indexes(db: FingerprintDB) -> IndexSelection:
-    """Indexes where at least one unordered pair of fingerprints differs,
-    counted on each position's string of token ids (`FingerprintDB.columns`)."""
+    """Indexes where at least one unordered pair of fingerprints differs:
+    the database's `kept` positions, where some entry differs from the
+    first.  Each one's differing pairs are counted on its string of token
+    ids (`FingerprintDB.columns`)."""
     if len(db) < 2:
         raise DatabaseError("need at least two fingerprints to compare")
     all_pairs = len(db) * (len(db) - 1) // 2
-    kept: list[int] = []
-    provenance: list[int] = []
-    for i, column in enumerate(db.columns()):
-        agreeing = sum(c * (c - 1) // 2 for c in map(column.count, set(column)))
-        differing = all_pairs - agreeing
-        if differing > 0:
-            kept.append(i)
-            provenance.append(differing)
-    return IndexSelection(db.digest, tuple(kept), tuple(provenance))
+    provenance = tuple(
+        all_pairs - sum(c * (c - 1) // 2 for c in map(column.count, set(column)))
+        for column in db.columns()
+    )
+    return IndexSelection(db.digest, db.kept, provenance)
 
 
 def reduce_collection(full: FuzzCollection, sel: IndexSelection) -> FuzzCollection:

@@ -31,6 +31,7 @@ import threading
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import islice
 from typing import BinaryIO
 
 from . import wire
@@ -238,8 +239,11 @@ def _parse_fp_version(text: str) -> int:
     return int(text)
 
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
 def _parse_digest(text: str) -> str:
-    if len(text) != 64 or any(c not in "0123456789abcdef" for c in text):
+    if len(text) != 64 or not _HEX_DIGITS.issuperset(text):
         raise ValueError("collection digest must be 64 lowercase hex chars")
     return text
 
@@ -299,11 +303,10 @@ def read_fingerprint(source: BinaryIO) -> Fingerprint:
     if lines[-1] == "":
         lines.pop()  # the file's terminating LF, not a blank line
     headers, start = parse_header(lines, _FP_HEADER, "login", optional=("label",))
-    body = lines[start:]
     try:
-        observations = tuple(map(wire.BY_TOKEN.__getitem__, body))
+        observations = tuple(map(wire.BY_TOKEN.__getitem__, islice(lines, start, None)))
     except KeyError:
-        line_no, bad = next((n, line) for n, line in enumerate(body, start + 1)
+        line_no, bad = next((n, line) for n, line in enumerate(lines[start:], start + 1)
                             if line not in wire.BY_TOKEN)
         raise ParseError(f"bad observation token {bad!r}" if bad else "blank line",
                          line_no) from None

@@ -743,5 +743,5 @@ def test_lab_subprocess_serves(tmp_path):
     finally:
         proc.terminate()
         _, stderr = proc.communicate(timeout=5)
-        # each handled request is logged to stderr
-        assert "USER probe" in stderr
+        # on stop the server prints its requests, counted by action
+        assert "1 connections; requests by action:\n  login USER 331: 1\n" in stderr

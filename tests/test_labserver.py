@@ -4,6 +4,7 @@ import hashlib
 import os
 import random
 import socket
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,8 +23,9 @@ from fingerfuzz.labserver import (
     save_script,
 )
 from fingerfuzz.scanner import fingerprint_target
+from fingerfuzz.wire import DRP, TMO
 
-from conftest import constant_script, fast_target, lab_oracle
+from conftest import constant_script, fast_target, lab_oracle, logged_in
 
 SCRIPT_TEXT = """\
 # toy product emulation
@@ -433,3 +435,36 @@ def test_scan_of_random_script_equals_session_oracle(seed, sessions, lab_factory
     fp = fingerprint_target(collection, fast_target(server.port, drain_window=0.002,
                                                     sessions=sessions))
     assert fp.observations == lab_oracle(script, collection), save_script(script)
+
+
+# every action once or more on CONFORMANCE_CONFIG; the empty SYST stays silent
+COUNTED_SCRIPT = """\
+name counted
+rule NOOP LEN_GT:1 DROP
+rule NOOP ANY REPLY:200:ok
+rule SYST EMPTY SILENCE
+rule SYST ANY DELAY:5:215:late
+rule FEAT ANY MULTI:211:a|b
+default 500 no
+"""
+
+
+@pytest.mark.parametrize("sessions", (1, 4))
+def test_server_counts_the_actions_of_a_scan(sessions, lab_factory):
+    script = load_script(COUNTED_SCRIPT)
+    collection = build_collection(CONFORMANCE_CONFIG)
+    server = lab_factory(script)
+    fingerprint_target(collection, fast_target(server.port, drain_window=0.002,
+                                               sessions=sessions))
+    server.stop()
+    # a login opens every run, and the rest of a run after a DRP or TMO
+    tokens = lab_oracle(script, collection)
+    block = collection.config.block_length
+    logins = sum(i % block == 0 or tokens[i - 1] in (DRP, TMO) for i in range(len(tokens)))
+    session = logged_in(script)  # past the login, a reply depends on the line alone
+    expected = Counter(session.respond(record.bytes)[0] for record in collection.records)
+    expected.update({"login USER 331": logins, "login PASS 230": logins})
+    assert set(expected) == {"REPLY", "MULTI", "DROP", "SILENCE", "DELAY", "DEFAULT",
+                             "login USER 331", "login PASS 230"}
+    assert server.actions == expected
+    assert server.connections == logins

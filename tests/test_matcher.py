@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -355,3 +356,92 @@ def test_zero_length_entries_are_refused():
     for tokens in ([], ["200", "200"]):
         with pytest.raises(IncomparableError, match="vector lengths differ"):
             rank(make_fp(tokens, label="probe"), db)
+
+
+# --- packed layout against position-by-position counts ------------------------
+
+# CI sweeps more seeds through this variable
+MATCH_ORACLE_SEEDS = int(os.environ.get("MATCH_ORACLE_SEEDS", "40"))
+# seed % 5 picks the shape: one entry; every entry identical, so nothing is
+# kept; every position kept; probe tokens no entry holds only at positions
+# that are not kept; 255 or 256 distinct tokens, the last table of one byte
+# per position and the first of two, with some positions not kept
+SHAPES = ("one entry", "identical", "no constant", "unknown at constant", "width edge")
+
+
+@pytest.mark.parametrize("seed", range(MATCH_ORACLE_SEEDS))
+def test_packed_database_matches_brute_force(seed):
+    chooser = random.Random(seed)
+    shape = SHAPES[seed % len(SHAPES)]
+    if shape == "width edge":
+        pool = chooser.sample(ALL_TOKENS, 255 + seed // len(SHAPES) % 2)
+        unknown = [t for t in ALL_TOKENS if t not in pool][:3]
+        length = len(pool) + chooser.randint(1, 60)
+        base = pool + [chooser.choice(pool) for _ in range(length - len(pool))]
+        chooser.shuffle(base)  # the first entry holds every token of the pool
+    else:
+        pool, unknown = list(TOKEN_POOL), list(PROBE_ONLY)
+        length = chooser.randint(2, 60)
+        base = random_tokens(chooser, length)
+    count = 1 if shape == "one entry" else chooser.randint(2, 6)
+    if shape == "identical":
+        varying = []
+    elif shape == "no constant":
+        varying = range(length)
+    else:
+        varying = chooser.sample(range(length), chooser.randint(1, length - 1))
+    vectors = [base]
+    for _ in range(count - 1):
+        vector = list(base)
+        for pos in varying:
+            if chooser.random() < 0.6:
+                vector[pos] = chooser.choice(pool)
+        vectors.append(vector)
+    if shape == "no constant":
+        for pos in range(length):
+            if all(vector[pos] == base[pos] for vector in vectors):
+                vectors[1][pos] = next(t for t in pool if t != base[pos])
+    entries = {f"e{i}": make_fp(v, label=f"e{i}") for i, v in enumerate(vectors)}
+    labels = sorted(entries)
+    fps = [entries[label] for label in labels]
+
+    varied = [i for i in range(length) if len({v[i] for v in vectors}) > 1]
+    probe_tokens = list(chooser.choice(vectors))
+    for pos in chooser.sample(range(length), chooser.randint(0, length // 3)):
+        probe_tokens[pos] = chooser.choice(pool)
+    constant = [i for i in range(length) if i not in varied]
+    if shape in ("unknown at constant", "width edge"):  # both keep a constant position
+        for pos in chooser.sample(constant, chooser.randint(1, min(3, len(constant)))):
+            probe_tokens[pos] = chooser.choice(unknown)
+    else:
+        for pos in chooser.sample(range(length), chooser.randint(0, 2)):
+            probe_tokens[pos] = chooser.choice(unknown)
+    probe = make_fp(probe_tokens, label="probe")
+
+    db = FingerprintDB(entries)
+    assert db.kept == tuple(varied)
+    if shape == "identical":
+        assert db.kept == ()
+    elif shape == "no constant":
+        assert db.kept == tuple(range(length))
+    elif shape == "unknown at constant":
+        assert constant and [t for t in probe_tokens if t in unknown]
+        assert all(probe_tokens[i] not in unknown for i in varied)
+    elif shape == "width edge":
+        assert len(set().union(*vectors)) == len(pool) and 0 < len(db.kept) < length
+
+    expected = sorted((-brute_force_agreement(probe, e), label) for label, e in entries.items())
+    for k in range(1, count + 1):
+        assert [(m.label, m.agree, m.total) for m in rank(probe, db, k=k)] == [
+            (label, -negated, length) for negated, label in expected[:k]
+        ]
+    if count == 1:
+        with pytest.raises(DatabaseError):
+            match_matrix(db)
+        with pytest.raises(DatabaseError):
+            discriminating_indexes(db)
+        return
+    assert match_matrix(db) == [[brute_force_percent(x, y) for y in fps] for x in fps]
+    selection = discriminating_indexes(db)
+    assert selection.kept == db.kept
+    assert list(zip(selection.kept, selection.provenance)) == brute_force_kept(fps)
