@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import os
 import random
 from dataclasses import replace
@@ -7,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from fingerfuzz.errors import DatabaseError, IncomparableError
+from fingerfuzz.cli import main
+from fingerfuzz.errors import DatabaseError, IncomparableError, ParseError
 from fingerfuzz.matcher import (
     FingerprintDB,
     MatchResult,
@@ -255,6 +257,73 @@ def test_db_rejects_mixed_digests(tmp_path):
 def test_db_rejects_empty_directory(tmp_path):
     with pytest.raises(DatabaseError):
         FingerprintDB.load(tmp_path)
+
+
+# --- corrupt entries ------------------------------------------------------------
+
+def write_entries(directory, count=3, length=12):
+    """e0.fp .. e{count-1}.fp, labelled like their stems; header lines 1-7,
+    body lines 8 on."""
+    directory.mkdir()
+    for i in range(count):
+        tokens = ["200"] * length
+        tokens[i] = "500"
+        save_fingerprint(make_fp(tokens, label=f"e{i}"), directory / f"e{i}.fp")
+
+
+def set_line(path, line_no, data: bytes | None):
+    """Replace line `line_no` of the file with `data`, or delete it (None)."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line_no - 1:line_no] = [] if data is None else [data]
+    path.write_bytes(b"\n".join(lines))
+
+
+# case -> (corruption, error type, file the error names, reason, line)
+CORRUPT_ENTRIES = {
+    "bad token": (lambda d: set_line(d / "e2.fp", 19, b"20O"),
+                  ParseError, "e2.fp", "bad observation token '20O'", 19),
+    "blank line": (lambda d: set_line(d / "e1.fp", 10, b""),
+                   ParseError, "e1.fp", "blank line", 10),
+    "carriage return": (lambda d: set_line(d / "e0.fp", 8, b"200\r"),
+                        ParseError, "e0.fp", "bad observation token '200\\r'", 8),
+    "non-ascii byte": (lambda d: set_line(d / "e1.fp", 12, b"2\xe90"),
+                       ParseError, "e1.fp", "non-ASCII byte in fingerprint file", 12),
+    "missing login": (lambda d: set_line(d / "e1.fp", 7, None),
+                      ParseError, "e1.fp", "expected a '#' header line before '#login'", 7),
+    "fp-version 1": (lambda d: set_line(d / "e1.fp", 1, b"#fp-version 1"),
+                     DatabaseError, None,
+                     "entries mix fp-versions [1, 2]; rescan the older ones: e1", None),
+    "duplicate label": (lambda d: set_line(d / "e2.fp", 4, b"#label e0"),
+                        DatabaseError, None, "duplicate label 'e0' (e2.fp)", None),
+    "directory": (lambda d: (d / "x.fp").mkdir(),
+                  IsADirectoryError, "x.fp", os.strerror(errno.EISDIR), None),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_ENTRIES)
+def test_corrupt_entry_fails_the_load(tmp_path, case, capsys):
+    corrupt, kind, name, reason, line_no = CORRUPT_ENTRIES[case]
+    db_dir = tmp_path / "db"
+    write_entries(db_dir)
+    corrupt(db_dir)
+    with pytest.raises(kind) as info:
+        FingerprintDB.load(db_dir)
+    error = info.value
+    assert type(error) is kind
+    if kind is ParseError:
+        assert (error.reason, error.line_no) == (reason, line_no)
+        assert str(error) == f"{db_dir / name}: line {line_no}: {reason}"
+    elif kind is IsADirectoryError:
+        assert (error.errno, error.strerror) == (errno.EISDIR, reason)
+        assert os.fspath(error.filename) == os.fspath(db_dir / name)
+    else:
+        assert str(error) == reason
+    # the CLI reports the same error and exits 1, with or without a probe
+    probe = tmp_path / "probe.fp"
+    save_fingerprint(make_fp(["200"] * 12, label="probe"), probe)
+    for args in (["--matrix"], ["--fingerprint", str(probe)]):
+        assert main(["match", "--db", str(db_dir), *args]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 # --- matrix -------------------------------------------------------------------
