@@ -9,22 +9,29 @@ observation is its token (`"200"`, `"TMO"`, ...), and agreement is exact
 token equality per position; fault sentinels count like codes, since the
 absence of a status code is itself a distinguishing signal.
 
-A FingerprintDB packs its entries once, when it is built.  A table gives
-every distinct token of the database an id, and one more id, reserved, stands
-for every probe token that no entry holds.  An entry becomes its string of
-ids, one character per position.  Most positions hold the same id in every
-entry, so the database keeps apart `kept`, the positions where some entry
-differs from the first.  The ids of the other positions are stored once, in
-one packed constant; each entry is one integer made of its ids' bytes at the
-kept positions only: one byte per position while the table and the reserved
-id fit in 256 ids, two (`utf-16-le`) beyond that.  Two vectors packed alike
-agree exactly where `a ^ b` has a zero lane, so rank and match_matrix count
-the zero bytes of `(a ^ b).to_bytes(...)`; at two bytes per position each
-lane's two bytes are ORed first.  Two entries agree at every position outside
-`kept`, and a probe's agreement there is counted once, against the constant.
-The count is exact, so ratios and percentages are the same as counting
-position by position.  match_pair, which has no database to pack against,
-compares the two token vectors directly.
+A FingerprintDB keeps each entry once, as its header fields and its string
+of token ids: a table gives every distinct token of the database an id, one
+character per position, and one more id, reserved, stands for every probe
+token that no entry holds.  `FingerprintDB.load` maps each body line of a
+`.fp` file straight to its id, so a load checks every token but builds no
+observations; `db[label]` rebuilds the entry's Fingerprint on demand, from
+the shared observations of `wire.BY_TOKEN`.  A database built from
+Fingerprints encodes their observations into the same form.
+
+The entries are packed once, when the database is built.  Most positions
+hold the same id in every entry, so the database keeps apart `kept`, the
+positions where some entry differs from the first.  The ids of the other
+positions are stored once, in one packed constant; each entry is one integer
+made of its ids' bytes at the kept positions only: one byte per position
+while the table and the reserved id fit in 256 ids, two (`utf-16-le`) beyond
+that.  Two vectors packed alike agree exactly where `a ^ b` has a zero lane,
+so rank and match_matrix count the zero bytes of `(a ^ b).to_bytes(...)`; at
+two bytes per position each lane's two bytes are ORed first.  Two entries
+agree at every position outside `kept`, and a probe's agreement there is
+counted once, against the constant.  The count is exact, so ratios and
+percentages are the same as counting position by position.  match_pair,
+which has no database to pack against, compares the two token vectors
+directly.
 """
 
 from __future__ import annotations
@@ -32,14 +39,17 @@ from __future__ import annotations
 import csv
 import heapq
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, compress, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import Iterable
 
+from . import wire
 from .errors import DatabaseError, IncomparableError
-from .scanner import Fingerprint, load_fingerprint
+from .scanner import Fingerprint, open_fingerprint, parse_fingerprint
 
 
 @dataclass(frozen=True)
@@ -86,57 +96,109 @@ def match_pair(a: Fingerprint, b: Fingerprint) -> MatchResult:
 
 
 class _TokenIds(dict):
-    """Observation token -> one-character token id, handed out on first sight."""
+    """Observation token -> one-character token id, handed out on first
+    sight.  A string that is no observation token is a KeyError."""
 
     def __missing__(self, token: str) -> str:
+        if token not in wire.BY_TOKEN:
+            raise KeyError(token)
         self[token] = token_id = chr(len(self))
         return token_id
 
-    def encode(self, fp: Fingerprint) -> str:
-        """The fingerprint as one token id per position."""
-        return "".join(map(self.__getitem__, fp.observations))
+    def encode(self, tokens: Iterable[str]) -> str:
+        """The tokens as one token id each."""
+        return "".join(map(self.__getitem__, tokens))
+
+
+# every Fingerprint field but the observations: what an entry keeps beside its ids
+_HEADER = tuple(f.name for f in fields(Fingerprint) if f.name != "observations")
 
 
 class FingerprintDB:
     """All known fingerprints for one collection, indexed by unique label.
 
-    Entries are packed once, on construction, over one token table (see the
-    module docstring): `kept`, the positions where some entry differs from
-    the first; the ids of the other positions in one packed constant, the
-    first entry over every position, with a mask of the kept lanes; the
-    kept columns as one column-major id string (column after column, each
-    entry's id in label order); and one integer per entry over the kept
-    positions, for rank and match_matrix to XOR.
+    An entry is stored once, as its header fields (every Fingerprint field
+    but the observations) and its string of token ids over the database's
+    one token table; `db[label]` rebuilds its Fingerprint from them.  The
+    entries are packed once, on construction (see the module docstring):
+    `kept`, the positions where some entry differs from the first; the ids
+    of the other positions in one packed constant, the first entry over
+    every position, with a mask of the kept lanes; the kept columns as one
+    column-major id string (column after column, each entry's id in label
+    order); and one integer per entry over the kept positions, for rank and
+    match_matrix to XOR.
     """
 
     def __init__(self, fingerprints: dict[str, Fingerprint]):
-        if not fingerprints:
+        ids = _TokenIds()
+        entries = {}
+        for label, fp in fingerprints.items():
+            try:
+                entry_ids = ids.encode(fp.observations)
+            except KeyError as exc:
+                raise DatabaseError(
+                    f"entry '{label}' holds {exc.args[0]!r}, no observation token") from None
+            entries[label] = {name: getattr(fp, name) for name in _HEADER}, entry_ids
+        self._build(entries, ids)
+
+    @classmethod
+    def load(cls, directory) -> "FingerprintDB":
+        """The `.fp` files of a directory, each labelled by its `#label`, else
+        its file stem.  Each body becomes its token ids as it is read: every
+        token is checked here, and no Fingerprint is built."""
+        directory = Path(directory)
+        if not directory.is_dir():
+            raise DatabaseError(f"not a directory: {directory}")
+        ids = _TokenIds()
+        parse = partial(parse_fingerprint, encode=ids.encode)
+        entries: dict[str, tuple[dict, str]] = {}
+        # by name: on POSIX the order of sorting the paths, at a third of the cost
+        for path in sorted(directory.glob("*.fp"), key=attrgetter("name")):
+            header, entry_ids = open_fingerprint(path, parse)
+            label = header["label"] if header["label"] is not None else path.stem
+            if label in entries:
+                raise DatabaseError(f"duplicate label '{label}' ({path.name})")
+            entries[label] = header, entry_ids
+        if not entries:
+            raise DatabaseError(f"no .fp files in {directory}")
+        db = cls.__new__(cls)
+        db._build(entries, ids)
+        return db
+
+    def _build(self, entries: dict[str, tuple[dict, str]], ids: _TokenIds) -> None:
+        """Check the entries (label -> header fields, token ids) and pack them."""
+        if not entries:
             raise DatabaseError("database holds no fingerprints")
-        digests = {fp.collection_digest for fp in fingerprints.values()}
+        digests = {header["collection_digest"] for header, _ in entries.values()}
         if len(digests) > 1:
             offenders = ", ".join(
-                f"{label} ({fp.collection_digest[:12]}…)"
-                for label, fp in sorted(fingerprints.items())
+                f"{label} ({header['collection_digest'][:12]}…)"
+                for label, (header, _) in sorted(entries.items())
             )
             raise DatabaseError(f"mixed collection digests: {offenders}")
-        lengths = {len(fp.observations) for fp in fingerprints.values()}
+        lengths = {len(entry_ids) for _, entry_ids in entries.values()}
         if len(lengths) > 1:
             raise DatabaseError("entries disagree on observation count")
         if lengths == {0}:
             raise DatabaseError("entries hold no observations")
-        versions = {fp.fp_version for fp in fingerprints.values()}
+        versions = {header["fp_version"] for header, _ in entries.values()}
         if len(versions) > 1:
-            old = ", ".join(label for label, fp in sorted(fingerprints.items())
-                            if fp.fp_version != max(versions))
+            old = ", ".join(label for label, (header, _) in sorted(entries.items())
+                            if header["fp_version"] != max(versions))
             raise DatabaseError(f"entries mix fp-versions {sorted(versions)}; "
                                 f"rescan the older ones: {old}")
-        self._by_label = dict(sorted(fingerprints.items()))
-        self._ids = _TokenIds()
+        self.digest, self.fp_version = digests.pop(), versions.pop()
+        self._entries = dict(sorted(entries.items()))
+        # the table keyed by the shared observations: a probe holds those, and
+        # a lookup that finds its key by identity skips comparing the strings
+        self._ids = {wire.BY_TOKEN[token]: token_id for token, token_id in ids.items()}
+        # token id -> the shared observation, to rebuild entries
+        self._tokens = {token_id: token for token, token_id in self._ids.items()}
         # every entry's ids, entry after entry in label order
-        table = "".join(map(self._ids.encode, self._by_label.values()))
-        self._reserved = chr(len(self._ids))  # the id of every token no entry holds
+        table = "".join([entry_ids for _, entry_ids in self._entries.values()])
+        self._reserved = chr(len(ids))  # the id of every token no entry holds
         # one byte per position while the ids and the reserved one fit in 256
-        self._codec = "latin-1" if len(self._ids) < 256 else "utf-16-le"
+        self._codec = "latin-1" if len(ids) < 256 else "utf-16-le"
         self._length = length = lengths.pop()
         first = self._pack(table[:length])
         differ = 0
@@ -149,7 +211,7 @@ class FingerprintDB:
         # that is nonzero in exactly the kept lanes
         self._constant, self._kept_mask = first, differ
         self._columns = "".join([table[i::length] for i in self.kept])
-        n = len(self._by_label)
+        n = len(self._entries)
         self._packed = tuple(self._pack(self._columns[r::n]) for r in range(n))
 
     def _pack(self, ids: str) -> int:
@@ -177,40 +239,18 @@ class FingerprintDB:
         """Equal kept positions of two packed entries: the zero lanes of a ^ b."""
         return self._lanes(a ^ b, len(self.kept)).count(0)
 
-    @classmethod
-    def load(cls, directory) -> "FingerprintDB":
-        directory = Path(directory)
-        if not directory.is_dir():
-            raise DatabaseError(f"not a directory: {directory}")
-        entries: dict[str, Fingerprint] = {}
-        # by name: on POSIX the order of sorting the paths, at a third of the cost
-        for path in sorted(directory.glob("*.fp"), key=attrgetter("name")):
-            fp = load_fingerprint(path)
-            label = fp.label if fp.label is not None else path.stem
-            if label in entries:
-                raise DatabaseError(f"duplicate label '{label}' ({path.name})")
-            entries[label] = fp
-        if not entries:
-            raise DatabaseError(f"no .fp files in {directory}")
-        return cls(entries)
-
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(self._by_label)
-
-    @property
-    def digest(self) -> str:
-        return next(iter(self._by_label.values())).collection_digest
-
-    @property
-    def fp_version(self) -> int:
-        return next(iter(self._by_label.values())).fp_version
+        return tuple(self._entries)
 
     def __len__(self) -> int:
-        return len(self._by_label)
+        return len(self._entries)
 
     def __getitem__(self, label: str) -> Fingerprint:
-        return self._by_label[label]
+        """The entry as a Fingerprint, rebuilt from its header fields and ids."""
+        header, entry_ids = self._entries[label]
+        return Fingerprint(observations=tuple(map(self._tokens.__getitem__, entry_ids)),
+                           **header)
 
     def columns(self):
         """Token ids of the kept positions, one string per position in

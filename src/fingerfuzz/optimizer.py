@@ -59,7 +59,10 @@ def reduce_collection(full: FuzzCollection, sel: IndexSelection) -> FuzzCollecti
         RequestRecord(new_index, full.records[old_index].bytes)
         for new_index, old_index in enumerate(sel.kept)
     )
-    return FuzzCollection(records, full.config, reduced_from=full.digest)
+    # the full body holds every request escaped already, one per line
+    lines = full.body.decode("ascii").split("\n")
+    return FuzzCollection(records, full.config, reduced_from=full.digest,
+                          _lines=[lines[i] for i in sel.kept])
 
 
 def project_fingerprint(

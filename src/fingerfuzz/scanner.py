@@ -32,7 +32,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import islice
-from typing import BinaryIO
+from typing import BinaryIO, Callable, Iterator, TypeVar
 
 from . import wire
 from .errors import (
@@ -296,32 +296,49 @@ def write_fingerprint(fp: Fingerprint, sink: BinaryIO) -> None:
     sink.write(("\n".join(fp.observations) + "\n").encode("ascii"))
 
 
-def read_fingerprint(source: BinaryIO) -> Fingerprint:
-    """Parse a fingerprint file; its header closes with the `#login` line, and
-    every body line is one observation token."""
+T = TypeVar("T")
+
+
+def parse_fingerprint(source: BinaryIO, encode: Callable[[Iterator[str]], T]) -> tuple[dict, T]:
+    """Parse a fingerprint file into the Fingerprint fields of its header, by
+    name, and `encode` of its body lines.  The header closes with the
+    `#login` line, and every body line is one observation token: `encode`
+    raises KeyError at the first line that is none, and the ParseError
+    names that line."""
     lines = decode_ascii(source.read(), "fingerprint file").split("\n")
     if lines[-1] == "":
         lines.pop()  # the file's terminating LF, not a blank line
     headers, start = parse_header(lines, _FP_HEADER, "login", optional=("label",))
+    if start == len(lines):
+        raise ParseError("fingerprint has no observations")
     try:
-        observations = tuple(map(wire.BY_TOKEN.__getitem__, islice(lines, start, None)))
+        body = encode(islice(lines, start, None))
     except KeyError:
         line_no, bad = next((n, line) for n, line in enumerate(lines[start:], start + 1)
                             if line not in wire.BY_TOKEN)
         raise ParseError(f"bad observation token {bad!r}" if bad else "blank line",
                          line_no) from None
-    if not observations:
-        raise ParseError("fingerprint has no observations")
-    return Fingerprint(
-        collection_digest=headers["collection"],
-        target=headers["target"],
-        observations=observations,
-        label=headers.get("label"),
-        created_at=headers["created"],
-        greeting=headers["greeting"],
-        login=headers["login"],
-        fp_version=headers["fp-version"],
-    )
+    fields = {
+        "collection_digest": headers["collection"],
+        "target": headers["target"],
+        "label": headers.get("label"),
+        "created_at": headers["created"],
+        "greeting": headers["greeting"],
+        "login": headers["login"],
+        "fp_version": headers["fp-version"],
+    }
+    return fields, body
+
+
+def _observations(lines: Iterator[str]) -> tuple[ReplyObservation, ...]:
+    return tuple(map(wire.BY_TOKEN.__getitem__, lines))
+
+
+def read_fingerprint(source: BinaryIO) -> Fingerprint:
+    """Parse a fingerprint file; its observations are the shared ones of
+    `wire.BY_TOKEN`."""
+    fields, observations = parse_fingerprint(source, _observations)
+    return Fingerprint(observations=observations, **fields)
 
 
 def save_fingerprint(fp: Fingerprint, path) -> None:
@@ -330,9 +347,14 @@ def save_fingerprint(fp: Fingerprint, path) -> None:
     atomic_write(path, buf.getvalue())
 
 
-def load_fingerprint(path) -> Fingerprint:
+def open_fingerprint(path, parse: Callable[[BinaryIO], T]) -> T:
+    """`parse` of the file at `path`; a ParseError names the path."""
     with open(path, "rb") as fh:
         try:
-            return read_fingerprint(fh)
+            return parse(fh)
         except ParseError as exc:
             raise ParseError(exc.reason, exc.line_no, exc.column, path) from None
+
+
+def load_fingerprint(path) -> Fingerprint:
+    return open_fingerprint(path, read_fingerprint)

@@ -19,8 +19,8 @@ from fingerfuzz.matcher import (
     rank,
 )
 from fingerfuzz.optimizer import discriminating_indexes
-from fingerfuzz.scanner import Fingerprint, save_fingerprint
-from fingerfuzz.wire import ReplyObservation
+from fingerfuzz.scanner import Fingerprint, load_fingerprint, save_fingerprint
+from fingerfuzz.wire import BY_TOKEN, ReplyObservation
 
 from conftest import ALL_TOKENS, mixed_observations
 
@@ -438,9 +438,9 @@ MATCH_ORACLE_SEEDS = int(os.environ.get("MATCH_ORACLE_SEEDS", "40"))
 SHAPES = ("one entry", "identical", "no constant", "unknown at constant", "width edge")
 
 
-@pytest.mark.parametrize("seed", range(MATCH_ORACLE_SEEDS))
-def test_packed_database_matches_brute_force(seed):
-    chooser = random.Random(seed)
+def shaped_vectors(chooser: random.Random, seed: int):
+    """The random database of `seed`: its shape, token pool, probe-only
+    tokens, length and token vectors, the first one the base."""
     shape = SHAPES[seed % len(SHAPES)]
     if shape == "width edge":
         pool = chooser.sample(ALL_TOKENS, 255 + seed // len(SHAPES) % 2)
@@ -470,6 +470,14 @@ def test_packed_database_matches_brute_force(seed):
         for pos in range(length):
             if all(vector[pos] == base[pos] for vector in vectors):
                 vectors[1][pos] = next(t for t in pool if t != base[pos])
+    return shape, pool, unknown, length, vectors
+
+
+@pytest.mark.parametrize("seed", range(MATCH_ORACLE_SEEDS))
+def test_packed_database_matches_brute_force(seed):
+    chooser = random.Random(seed)
+    shape, pool, unknown, length, vectors = shaped_vectors(chooser, seed)
+    count = len(vectors)
     entries = {f"e{i}": make_fp(v, label=f"e{i}") for i, v in enumerate(vectors)}
     labels = sorted(entries)
     fps = [entries[label] for label in labels]
@@ -514,3 +522,45 @@ def test_packed_database_matches_brute_force(seed):
     selection = discriminating_indexes(db)
     assert selection.kept == db.kept
     assert list(zip(selection.kept, selection.provenance)) == brute_force_kept(fps)
+
+
+@pytest.mark.parametrize("seed", range(MATCH_ORACLE_SEEDS))
+def test_packed_database_loads_like_the_built_one(seed, tmp_path):
+    chooser = random.Random(seed)
+    _, _, unknown, length, vectors = shaped_vectors(chooser, seed)
+    # odd entries have no #label and take their file stem; the dict is in
+    # file order, the order in which both databases hand out token ids
+    entries, paths = {}, {}
+    for i, vector in enumerate(vectors):
+        stem = f"f{i}"
+        fp = replace(make_fp(vector, label=None if i % 2 else f"e{i}"),
+                     observations=mixed_observations(chooser, vector))
+        label = stem if fp.label is None else fp.label
+        paths[label] = tmp_path / f"{stem}.fp"
+        save_fingerprint(fp, paths[label])
+        entries[label] = fp
+    built, loaded = FingerprintDB(entries), FingerprintDB.load(tmp_path)
+
+    assert loaded.labels == built.labels == tuple(sorted(entries))
+    assert loaded.kept == built.kept
+    assert loaded._packed == built._packed
+    assert (loaded._constant, loaded._kept_mask) == (built._constant, built._kept_mask)
+    assert list(loaded.columns()) == list(built.columns())
+    assert (loaded.digest, loaded.fp_version) == (built.digest, built.fp_version) == (DIGEST_A, 2)
+    for label, path in paths.items():
+        for db in (built, loaded):
+            entry = db[label]
+            assert entry == load_fingerprint(path) == entries[label]
+            assert entry.label == (None if label.startswith("f") else label)
+            assert all(obs is BY_TOKEN[obs] for obs in entry.observations)
+    probe_tokens = list(chooser.choice(vectors))
+    probe_tokens[chooser.randrange(length)] = chooser.choice(unknown)
+    probe = make_fp(probe_tokens, label="probe")
+    assert rank(probe, loaded, k=len(vectors)) == rank(probe, built, k=len(vectors))
+
+
+def test_database_refuses_a_string_that_is_no_token():
+    good = make_fp(["200", "500"], label="a")
+    bad = replace(good, observations=(ReplyObservation.from_token("200"), "20O"))
+    with pytest.raises(DatabaseError, match="entry 'b' holds '20O', no observation token"):
+        FingerprintDB({"a": good, "b": bad})
