@@ -288,6 +288,8 @@ CORRUPT_ENTRIES = {
                         ParseError, "e0.fp", "bad observation token '200\\r'", 8),
     "non-ascii byte": (lambda d: set_line(d / "e1.fp", 12, b"2\xe90"),
                        ParseError, "e1.fp", "non-ASCII byte in fingerprint file", 12),
+    "no body": (lambda d: [set_line(d / "e1.fp", 8, None) for _ in range(12)],
+                ParseError, "e1.fp", "fingerprint has no observations", None),
     "missing login": (lambda d: set_line(d / "e1.fp", 7, None),
                       ParseError, "e1.fp", "expected a '#' header line before '#login'", 7),
     "fp-version 1": (lambda d: set_line(d / "e1.fp", 1, b"#fp-version 1"),
@@ -312,7 +314,8 @@ def test_corrupt_entry_fails_the_load(tmp_path, case, capsys):
     assert type(error) is kind
     if kind is ParseError:
         assert (error.reason, error.line_no) == (reason, line_no)
-        assert str(error) == f"{db_dir / name}: line {line_no}: {reason}"
+        where = f"line {line_no}: " if line_no else ""
+        assert str(error) == f"{db_dir / name}: {where}{reason}"
     elif kind is IsADirectoryError:
         assert (error.errno, error.strerror) == (errno.EISDIR, reason)
         assert os.fspath(error.filename) == os.fspath(db_dir / name)
