@@ -2,13 +2,21 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
+import random
+import re
 
 import pytest
 
+from fingerfuzz import fuzzgen
 from fingerfuzz.errors import IntegrityError, ParseError
+from fingerfuzz.fileio import decode_ascii, parse_header
 from fingerfuzz.fuzzgen import (
+    FuzzCollection,
     FuzzConfig,
+    RequestRecord,
     build_collection,
+    escape_line,
     load_collection,
     read_collection,
     save_collection,
@@ -138,10 +146,57 @@ def test_unknown_header_is_rejected(four_record_collection):
 
 
 def test_record_count_must_match_config(four_record_collection):
+    # the truncated body no longer matches its digest, which is checked first
     data = serialize(four_record_collection)
     truncated = data.rsplit(b"\n", 2)[0] + b"\n"
-    with pytest.raises((ParseError, IntegrityError)):
+    with pytest.raises(IntegrityError, match="digest mismatch"):
         read_collection(io.BytesIO(truncated))
+
+
+def under_digest(collection, body: bytes, reduced_from: str | None = None) -> bytes:
+    """The collection's header, with `reduced_from` if given, over `body`
+    and a digest that matches it."""
+    head = serialize(collection).split(b"#digest ", 1)[0]
+    if reduced_from is not None:
+        head += f"#reduced-from {reduced_from}\n".encode()
+    return head + f"#digest {hashlib.sha256(body).hexdigest()}\n".encode() + body
+
+
+def parse_error_of(data: bytes) -> tuple:
+    with pytest.raises(ParseError) as err:
+        read_collection(io.BytesIO(data))
+    return err.value.reason, err.value.line_no, err.value.column
+
+
+def test_empty_file_misses_its_digest_header():
+    assert parse_error_of(b"") == ("missing header 'digest'", None, None)
+
+
+def test_header_without_body_is_short_of_requests(four_record_collection):
+    assert parse_error_of(under_digest(four_record_collection, b"")) == (
+        "expected 4 requests, found 0", None, None)
+
+
+def test_body_one_line_short_under_its_digest(four_record_collection):
+    body = four_record_collection.body
+    short = body[:body.rindex(b"\n", 0, -1) + 1]
+    assert short.count(b"\n") == 3
+    assert parse_error_of(under_digest(four_record_collection, short)) == (
+        "expected 4 requests, found 3", None, None)
+
+
+def test_reduced_collection_without_body_is_refused(four_record_collection):
+    data = under_digest(four_record_collection, b"", four_record_collection.digest)
+    assert parse_error_of(data) == ("reduced collection has no requests", None, None)
+
+
+def test_missing_final_line_feed_is_read_as_present(four_record_collection):
+    data = serialize(four_record_collection)
+    assert data.endswith(b"\n")
+    back = read_collection(io.BytesIO(data[:-1]))
+    assert back == four_record_collection
+    assert back.body == four_record_collection.body
+    assert back.digest == four_record_collection.digest
 
 
 def test_empty_request_survives_round_trip():
@@ -167,3 +222,103 @@ def test_save_is_deterministic(tmp_path, four_record_collection):
     save_collection(four_record_collection, a)
     save_collection(four_record_collection, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- the reader against a per-line reference decoder --------------------------
+
+# CI sweeps more seeds through this variable
+FC_ORACLE_SEEDS = int(os.environ.get("FC_ORACLE_SEEDS", "200"))
+
+# The per-line decode that read_collection once did, kept as its reference:
+# each body line checked against the canonical spelling and decoded alone.
+LINE_CANONICAL = re.compile(r"(?:[ -\[\]-~]|\\\\|\\x(?:[01][0-9a-f]|7f|[89a-f][0-9a-f]))*")
+
+
+def reference_read(data: bytes) -> tuple[list[bytes], bytes, str]:
+    """The requests, body and digest of a collection file, decoded line by
+    line; a bad line raises the ParseError the reader must raise."""
+    lines = decode_ascii(data, "collection file").split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    _, start = parse_header(lines, fuzzgen._FC_HEADER, "digest", optional=("reduced-from",))
+    requests = []
+    for line_no, line in enumerate(lines[start:], start=start + 1):
+        end = LINE_CANONICAL.match(line).end()
+        if end < len(line):
+            raise ParseError(f"not a printable character or canonical escape: "
+                             f"{line[end:end + 4]!r}", line_no, end + 1)
+        request = line.encode("ascii").decode("unicode_escape").encode("latin-1")
+        if 0x0D in request or 0x0A in request:
+            raise ParseError("request must not contain CR or LF", line_no)
+        requests.append(request)
+    body = "".join(line + "\n" for line in lines[start:]).encode("ascii")
+    return requests, body, hashlib.sha256(body).hexdigest()
+
+
+# Each one spoils one body line at a boundary between two escaped bytes,
+# except CRLF, which ends every body line with CR LF.
+CORRUPTIONS = {
+    "second spelling of O": lambda chooser: "\\x4f",
+    "uppercase hex": lambda chooser: "\\x" + chooser.choice(
+        [f"{b:02X}" for b in range(0x80, 0x100) if not f"{b:02x}".isdigit()]),
+    "lone trailing backslash": None,
+    "escaped LF": lambda chooser: "\\x0a",
+    "escaped CR": lambda chooser: "\\x0d",
+    "non-ASCII byte": lambda chooser: chr(chooser.randrange(0x80, 0x100)),
+    "CRLF line endings": None,
+}
+SWEPT_BYTES = [b for b in range(256) if b not in (0x0A, 0x0D)]
+
+
+def random_request(chooser: random.Random) -> bytes:
+    favoured = [0x5C, 0x7F, 0x00, 0xFF, 0x20]  # backslash, DEL, edges, space
+    length = chooser.choice([0, 0, 1, 2, chooser.randrange(3, 24)])
+    return bytes(chooser.choice(favoured if chooser.random() < 0.2 else SWEPT_BYTES)
+                 for _ in range(length))
+
+
+def spoiled(lines: list[str], kind: str, chooser: random.Random) -> str:
+    if kind == "CRLF line endings":
+        return "".join(line + "\r\n" for line in lines)
+    lines = list(lines)
+    at = chooser.randrange(len(lines))
+    units = re.findall(r"\\x..|\\\\|.", lines[at])
+    if kind == "lone trailing backslash":
+        lines[at] += "\\"
+    else:
+        cut = chooser.randrange(len(units) + 1)
+        lines[at] = "".join(units[:cut]) + CORRUPTIONS[kind](chooser) + "".join(units[cut:])
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("seed", range(FC_ORACLE_SEEDS))
+def test_reader_matches_the_per_line_reference(seed):
+    chooser = random.Random(seed)
+    requests = [random_request(chooser) for _ in range(chooser.randint(1, 40))]
+    reduced = chooser.random() < 0.5
+    # a full collection's count is its config's: instances alone set it here
+    config = FuzzConfig(commands=("NOOP",), max_arg_len=0, instances=len(requests),
+                        mutations=0, seed=seed)
+    collection = FuzzCollection(tuple(RequestRecord(i, r) for i, r in enumerate(requests)),
+                                config, reduced_from="ab" * 32 if reduced else None)
+    data = serialize(collection)
+    if requests[-1] and chooser.random() < 0.2:
+        data = data[:-1]  # no final LF; after an empty last request it would drop that request
+
+    expected_requests, expected_body, expected_digest = reference_read(data)
+    assert expected_requests == requests
+    back = read_collection(io.BytesIO(data))
+    assert [r.bytes for r in back.records] == requests
+    assert [r.index for r in back.records] == list(range(len(requests)))
+    assert back.body == expected_body == collection.body
+    assert back.digest == expected_digest == collection.digest
+    assert back == collection
+
+    kind = list(CORRUPTIONS)[seed % len(CORRUPTIONS)]
+    lines = [escape_line(r) for r in requests]
+    body = spoiled(lines, kind, chooser).encode("latin-1")
+    bad = under_digest(collection, body)
+    with pytest.raises(ParseError) as expected:
+        reference_read(bad)
+    got = parse_error_of(bad)
+    assert got == (expected.value.reason, expected.value.line_no, expected.value.column)
