@@ -10,8 +10,17 @@ A request is its index and its bytes, nothing more.  The layout is defined
 once, by `FuzzConfig.block_length`: the (L+1) * n * (m+1) requests of one
 command form a block, and block i belongs to the i-th command.  A collection
 escapes its requests once, when it is made: its file body and the digest
-over that body are derived from its records, or from the lines of the file
-it was read from, which are the lines escape_line writes.
+over that body are derived from its records, or are the body of the file it
+was read from, which holds only the lines escape_line writes.
+
+A file's body is decoded in one pass.  One match of the per-line canonical
+pattern, with LF added to its literal class, checks every line at once; no
+escape can span a line break.  One `unicode_escape` decode and one split at
+LF then give the requests, and the digest is the SHA-256 of the body bytes
+as read, a missing final LF read as present.  A body that fails the match,
+or whose decoded bytes hold a CR or more LFs than it has lines, is read
+again line by line only to find its first bad line, which gives the same
+ParseError, line and column as a line-by-line reader.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import hashlib
 import io
 import re
 from dataclasses import InitVar, dataclass, field
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, NamedTuple
 
 from .errors import ConfigError, IntegrityError, ParseError
 from .fileio import atomic_write, decode_ascii, format_header, parse_header
@@ -102,8 +111,7 @@ class FuzzConfig:
         return len(self.commands) * self.block_length
 
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """One request: its position in the collection and its bytes."""
 
     index: int
@@ -118,15 +126,15 @@ class FuzzCollection:
     # the file body, one escaped request per LF-terminated line, and its SHA-256
     body: bytes = field(init=False, compare=False, repr=False)
     digest: str = field(init=False)
-    # the escaped lines of `records`, where a file read them already
-    _lines: InitVar[list[str] | None] = None
+    # the body of `records`, where a file held it already
+    _body: InitVar[bytes | None] = None
 
-    def __post_init__(self, _lines):
-        if _lines is None:
-            _lines = [escape_line(record.bytes) for record in self.records]
-        body = "".join([line + "\n" for line in _lines])
-        object.__setattr__(self, "body", body.encode("ascii"))
-        object.__setattr__(self, "digest", hashlib.sha256(self.body).hexdigest())
+    def __post_init__(self, _body):
+        if _body is None:
+            lines = [escape_line(record.bytes) + "\n" for record in self.records]
+            _body = "".join(lines).encode("ascii")
+        object.__setattr__(self, "body", _body)
+        object.__setattr__(self, "digest", hashlib.sha256(_body).hexdigest())
 
 
 def mutate(message: bytes, rng: SplitMix64, alphabet: Iterable[int] = _DEFAULT_ALPHABET) -> bytes:
@@ -181,8 +189,7 @@ def build_collection(config: FuzzConfig) -> FuzzCollection:
                 for _ in range(config.mutations):
                     current = mutate(current, rng, letters)
                     requests.append(current)
-    records = tuple(RequestRecord(i, data) for i, data in enumerate(requests))
-    return FuzzCollection(records, config)
+    return FuzzCollection(tuple(map(RequestRecord._make, enumerate(requests))), config)
 
 
 # Each byte's spelling in an escaped line: printable ASCII as itself, the
@@ -190,10 +197,16 @@ def build_collection(config: FuzzConfig) -> FuzzCollection:
 _ESCAPES = [chr(b) if 0x20 <= b <= 0x7E else f"\\x{b:02x}" for b in range(256)]
 _ESCAPES[0x5C] = "\\\\"
 # The lines escape_line writes, and no others: one spelling per line, so a
-# file's body is the body of the collection it holds.  No two alternatives
-# match the same text and none holds a quantifier, so a match takes linear
-# time and ends at the first character that is not canonical.
-_CANONICAL = re.compile(r"(?:[ -\[\]-~]|\\\\|\\x(?:[01][0-9a-f]|7f|[89a-f][0-9a-f]))*")
+# file's body is the body of the collection it holds.  A line is a run of
+# literal characters, then escapes, each followed by such a run.  Every
+# escape starts with the backslash, which is no literal, so a match takes
+# linear time and ends at the first character that is not canonical.
+_CANONICAL = re.compile(
+    r"[ -\[\]-~]*(?:(?:\\\\|\\x(?:[01][0-9a-f]|7f|[89a-f][0-9a-f]))[ -\[\]-~]*)*")
+# A body of such lines: the same pattern with LF in its literal class, so the
+# match ends at the first non-canonical character of the first line with one.
+_CANONICAL_BODY = re.compile(
+    rb"[\n -\[\]-~]*(?:(?:\\\\|\\x(?:[01][0-9a-f]|7f|[89a-f][0-9a-f]))[\n -\[\]-~]*)*")
 
 
 def escape_line(data: bytes) -> str:
@@ -265,22 +278,43 @@ def write_collection(collection: FuzzCollection, sink: BinaryIO) -> None:
     sink.write(collection.body)
 
 
-def read_collection(source: BinaryIO) -> FuzzCollection:
-    """Parse and verify a collection file; digest mismatch is an error."""
-    lines = decode_ascii(source.read(), "collection file").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # the file's terminating LF, not an empty request
-    headers, start = parse_header(lines, _FC_HEADER, "digest", optional=("reduced-from",))
-    body = lines[start:]
-    requests: list[bytes] = []
-    for line_no, line in enumerate(body, start=start + 1):
+def _refuse_body(body: bytes, start: int):
+    """Raise the ParseError of the first line of `body` that is not the
+    escape_line spelling of a request without CR or LF; `start` is the
+    header's line count."""
+    for line_no, line in enumerate(body.decode("ascii").split("\n"), start=start + 1):
         try:
             data = unescape_line(line)
         except ParseError as exc:
             raise ParseError(exc.reason, line_no, exc.column) from None
         if 0x0D in data or 0x0A in data:  # it could not be sent as one line
             raise ParseError("request must not contain CR or LF", line_no)
-        requests.append(data)
+    raise AssertionError("a body refused in one pass has a bad line")
+
+
+def read_collection(source: BinaryIO) -> FuzzCollection:
+    """Parse and verify a collection file; digest mismatch is an error."""
+    data = source.read()
+    if not data.isascii():
+        decode_ascii(data, "collection file")  # raises, naming the line
+    # The header ends by its ninth line, at the latest: a tenth would repeat
+    # a key or hold an unknown one.  So only those lines are split off.
+    pieces = data.split(b"\n", len(_FC_HEADER))
+    lines = [piece.decode("ascii") for piece in pieces[:len(_FC_HEADER)]]
+    if len(pieces) <= len(_FC_HEADER) and lines[-1] == "":
+        lines.pop()  # the file's terminating LF, not an empty request
+    headers, start = parse_header(lines, _FC_HEADER, "digest", optional=("reduced-from",))
+    body = b"\n".join(pieces[start:])
+    if body and not body.endswith(b"\n"):
+        body += b"\n"  # a missing final LF is read as present
+    if _CANONICAL_BODY.match(body).end() < len(body):
+        _refuse_body(body, start)
+    decoded = body.decode("unicode_escape").encode("latin-1")
+    # an escaped CR or LF would make a request that cannot be sent as one line
+    if decoded.count(b"\n") != body.count(b"\n") or b"\r" in decoded:
+        _refuse_body(body, start)
+    requests = decoded.split(b"\n")
+    requests.pop()  # after the final LF
 
     try:
         config = FuzzConfig(
@@ -293,9 +327,9 @@ def read_collection(source: BinaryIO) -> FuzzCollection:
         raise ParseError(str(exc), line_no) from None
 
     reduced_from = headers.get("reduced-from")
-    records = tuple(RequestRecord(i, data) for i, data in enumerate(requests))
-    # the lines read are the body: unescape_line refuses any other spelling
-    collection = FuzzCollection(records, config, reduced_from, _lines=body)
+    records = tuple(map(RequestRecord._make, enumerate(requests)))
+    # the bytes read are the body: the match refuses any other spelling
+    collection = FuzzCollection(records, config, reduced_from, _body=body)
     stored = headers["digest"]
     if stored != collection.digest:
         raise IntegrityError(f"digest mismatch: header {stored}, body {collection.digest}")

@@ -55,14 +55,12 @@ def reduce_collection(full: FuzzCollection, sel: IndexSelection) -> FuzzCollecti
         )
     if sel.kept[-1] >= len(full.records):
         raise FingerfuzzError("selection index beyond collection size")
-    records = tuple(
-        RequestRecord(new_index, full.records[old_index].bytes)
-        for new_index, old_index in enumerate(sel.kept)
-    )
+    kept = [full.records[i].bytes for i in sel.kept]
     # the full body holds every request escaped already, one per line
-    lines = full.body.decode("ascii").split("\n")
-    return FuzzCollection(records, full.config, reduced_from=full.digest,
-                          _lines=[lines[i] for i in sel.kept])
+    lines = full.body.split(b"\n")
+    body = b"".join([lines[i] + b"\n" for i in sel.kept])
+    return FuzzCollection(tuple(map(RequestRecord._make, enumerate(kept))), full.config,
+                          reduced_from=full.digest, _body=body)
 
 
 def project_fingerprint(

@@ -19,6 +19,7 @@ class SplitMix64:
         if not 0 <= seed <= _MASK64:
             raise ValueError("seed must fit in 64 bits")
         self._state = seed
+        self._limits: dict[int, int] = {}  # bound -> highest accepted word
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -28,14 +29,22 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) via rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = _MASK64 - ((_MASK64 + 1) % bound)
+        """Uniform integer in [0, bound) via rejection sampling.  The step of
+        next_u64 is inlined: generation draws once per request byte."""
+        limit = self._limits.get(bound)
+        if limit is None:
+            if bound <= 0:
+                raise ValueError("bound must be positive")
+            limit = self._limits[bound] = _MASK64 - ((_MASK64 + 1) % bound)
+        state = self._state
         while True:
-            value = self.next_u64()
-            if value <= limit:
-                return value % bound
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            z ^= z >> 31
+            if z <= limit:
+                self._state = state
+                return z % bound
 
     def choice(self, seq):
         """Uniform element of a non-empty sequence: one bounded draw."""

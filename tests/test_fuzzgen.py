@@ -128,6 +128,33 @@ def test_config_validation_names_field(kwargs, field):
     assert err.value.field == field
 
 
+# --- rng ---------------------------------------------------------------------
+
+def reference_below(rng: SplitMix64, bound: int) -> int:
+    """Rejection sampling over next_u64, as below was first written."""
+    limit = (1 << 64) - 1 - ((1 << 64) % bound)
+    while True:
+        value = rng.next_u64()
+        if value <= limit:
+            return value % bound
+
+
+def test_below_draws_as_the_plain_rejection_sampler():
+    # 2**63 + 1 rejects almost half the words, so the retry path is taken;
+    # next_u64 between draws checks that below leaves the state where it should
+    bounds = [1, 2, 3, 254, 255, 2**32 + 7, 2**63 + 1, 2**64 - 1, 2**64]
+    ours, reference = SplitMix64(2**64 - 3), SplitMix64(2**64 - 3)
+    chooser = random.Random(3)
+    for _ in range(4000):
+        bound = chooser.choice(bounds)
+        assert ours.below(bound) == reference_below(reference, bound)
+        if chooser.random() < 0.1:
+            assert ours.next_u64() == reference.next_u64()
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            ours.below(bad)
+
+
 # --- mutate -----------------------------------------------------------------
 
 def test_delete_reaches_empty():
