@@ -135,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--db", required=True)
     opt.add_argument("--collection", required=True)
     opt.add_argument("--emit-indexes", default=None,
-                     help="also write the kept indexes as CSV")
+                     help="also write the kept indexes as CSV, each with the "
+                          "number of db pairs that differ there")
     opt.add_argument("-o", "--output", required=True)
     opt.set_defaults(func=cmd_optimize)
 
@@ -334,7 +335,7 @@ def cmd_optimize(args) -> int:
     reduced = optimizer.reduce_collection(collection, selection)
     fuzzgen.save_collection(reduced, args.output)
     if args.emit_indexes:
-        atomic_write(args.emit_indexes, optimizer.selection_csv(selection).encode("ascii"))
+        atomic_write(args.emit_indexes, optimizer.selection_csv(db).encode("ascii"))
     total = len(collection.records)
     kept = len(selection.kept)
     print(f"wrote {args.output}: kept {kept} of {total} requests "

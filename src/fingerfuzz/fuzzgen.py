@@ -131,8 +131,9 @@ class FuzzCollection:
 
     def __post_init__(self, _body):
         if _body is None:
-            lines = [escape_line(record.bytes) + "\n" for record in self.records]
-            _body = "".join(lines).encode("ascii")
+            # one translate over every request, each ended by U+0100
+            requests = [record.bytes.decode("latin-1") for record in self.records]
+            _body = "\u0100".join([*requests, ""]).translate(_BODY_ESCAPES).encode("ascii")
         object.__setattr__(self, "body", _body)
         object.__setattr__(self, "digest", hashlib.sha256(_body).hexdigest())
 
@@ -196,6 +197,9 @@ def build_collection(config: FuzzConfig) -> FuzzCollection:
 # backslash doubled, every other byte as \x and two lowercase hex digits.
 _ESCAPES = [chr(b) if 0x20 <= b <= 0x7E else f"\\x{b:02x}" for b in range(256)]
 _ESCAPES[0x5C] = "\\\\"
+# The same spellings, and U+0100, which no latin-1 request holds, as LF: a
+# body of requests joined by U+0100 escapes in one translate.
+_BODY_ESCAPES = _ESCAPES + ["\n"]
 # The lines escape_line writes, and no others: one spelling per line, so a
 # file's body is the body of the collection it holds.  A line is a run of
 # literal characters, then escapes, each followed by such a run.  Every

@@ -373,17 +373,6 @@ def load_script(source: str) -> ServerScript:
         raise ParseError(str(exc)) from None
 
 
-def save_script(script: ServerScript) -> str:
-    lines = [
-        f"name {script.name}",
-        f"greeting {script.greeting_code} {script.greeting_text}".rstrip(),
-        f"login USER={script.user_code} PASS={script.pass_code}",
-    ]
-    lines += [f"rule {rule.command} {rule.predicate} {rule.action}" for rule in script.rules]
-    lines.append(f"default {script.default_code} {script.default_text}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
 def load_script_file(path) -> ServerScript:
     with open(path, "rb") as fh:
         try:

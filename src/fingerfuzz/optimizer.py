@@ -2,9 +2,13 @@
 
 A request index is kept iff at least one pair of database fingerprints
 disagrees at that position, so every pair distinguishable under the full
-collection stays distinguishable under the reduced one.  Existing
+collection stays distinguishable under the reduced one.  These are the
+database's `kept` positions, found when it was loaded.  Existing
 fingerprints can be projected onto the reduced index set instead of
 re-scanning; for deterministic servers both paths give the same vector.
+
+How many pairs differ at each kept position is counted by `pair_counts`,
+only where it is written: the `--emit-indexes` CSV of `selection_csv`.
 """
 
 from __future__ import annotations
@@ -23,22 +27,27 @@ from .scanner import Fingerprint
 class IndexSelection:
     source_digest: str
     kept: tuple[int, ...]
-    provenance: tuple[int, ...]  # discriminating pair count, aligned with kept
 
 
 def discriminating_indexes(db: FingerprintDB) -> IndexSelection:
     """Indexes where at least one unordered pair of fingerprints differs:
     the database's `kept` positions, where some entry differs from the
-    first.  Each one's differing pairs are counted on its string of token
-    ids (`FingerprintDB.columns`)."""
+    first.  Nothing is counted here; see `pair_counts`."""
     if len(db) < 2:
         raise DatabaseError("need at least two fingerprints to compare")
+    return IndexSelection(db.digest, db.kept)
+
+
+def pair_counts(db: FingerprintDB) -> tuple[int, ...]:
+    """How many unordered pairs of fingerprints differ at each kept
+    position, aligned with `db.kept`, counted on its string of token ids
+    (`FingerprintDB.columns`).  It is the score FiG gives a query
+    (Caballero et al., NDSS 2007)."""
     all_pairs = len(db) * (len(db) - 1) // 2
-    provenance = tuple(
+    return tuple(
         all_pairs - sum(c * (c - 1) // 2 for c in map(column.count, set(column)))
         for column in db.columns()
     )
-    return IndexSelection(db.digest, db.kept, provenance)
 
 
 def reduce_collection(full: FuzzCollection, sel: IndexSelection) -> FuzzCollection:
@@ -83,10 +92,11 @@ def project_fingerprint(
     return replace(fp, collection_digest=reduced_digest, observations=observations)
 
 
-def selection_csv(sel: IndexSelection) -> str:
+def selection_csv(db: FingerprintDB) -> str:
+    """The kept positions of `db`, each with its differing pairs, as CSV."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["index", "provenance"])
-    for index, count in zip(sel.kept, sel.provenance):
+    for index, count in zip(db.kept, pair_counts(db)):
         writer.writerow([index, count])
     return out.getvalue()

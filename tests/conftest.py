@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import socket
+import sys
+import types
+
 import pytest
 
+from fingerfuzz import wire
 from fingerfuzz.labserver import LabServer, LabSession, ServerScript
 from fingerfuzz.wire import (
     ANONYMOUS_PASSWORD,
@@ -11,6 +16,8 @@ from fingerfuzz.wire import (
     ReplyObservation,
     TargetSpec,
 )
+
+from simnet import SimNet
 
 # Short client timeouts keep lab-server tests fast; SILENCE rules still
 # register as timeouts well within these windows.
@@ -28,6 +35,11 @@ def fast_target(port: int, **overrides) -> TargetSpec:
     )
     params.update(overrides)
     return TargetSpec(**params)
+
+
+def sim_target(sessions=1, **overrides) -> TargetSpec:
+    """A target on the simulated network of the `simulate` fixture."""
+    return fast_target(21, sessions=sessions, **overrides)
 
 
 # every valid observation token: 500 codes and three sentinels
@@ -106,6 +118,19 @@ def lab_oracle(script: ServerScript, collection, faults=None) -> tuple[str, ...]
     return tuple(tokens)
 
 
+def save_script(script: ServerScript) -> str:
+    """The text of a lab script file that `labserver.load_script` reads
+    back as `script`."""
+    lines = [
+        f"name {script.name}",
+        f"greeting {script.greeting_code} {script.greeting_text}".rstrip(),
+        f"login USER={script.user_code} PASS={script.pass_code}",
+    ]
+    lines += [f"rule {rule.command} {rule.predicate} {rule.action}" for rule in script.rules]
+    lines.append(f"default {script.default_code} {script.default_text}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
 def constant_script(name: str = "constant", code: int = 502) -> ServerScript:
     return ServerScript(name=name, default_code=code, default_text="nope")
 
@@ -123,3 +148,23 @@ def lab_factory():
     yield start
     for server in servers:
         server.stop()
+
+
+@pytest.fixture
+def simulate(monkeypatch):
+    """Route every connection of the test's scans to a new SimNet."""
+    def install(open_peer, **options) -> SimNet:
+        net = SimNet(open_peer, **options)
+        monkeypatch.setattr(socket, "create_connection", net.create_connection)
+        monkeypatch.setattr(wire, "time", types.SimpleNamespace(monotonic=net.monotonic))
+        return net
+    return install
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every 10 us, so a race in the pool shows more often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)

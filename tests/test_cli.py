@@ -13,11 +13,11 @@ import pytest
 from fingerfuzz.cli import UsageError, _parse_host_port, main
 from fingerfuzz.errors import IntegrityError
 from fingerfuzz.fuzzgen import FuzzConfig, build_collection, load_collection, save_collection
-from fingerfuzz.labserver import LabServer, Rule, ServerScript, save_script
+from fingerfuzz.labserver import LabServer, Rule, ServerScript
 from fingerfuzz.scanner import Fingerprint, fingerprint_target, load_fingerprint, save_fingerprint
 from fingerfuzz.wire import TargetSpec
 
-from conftest import constant_script, fast_target, is_base
+from conftest import constant_script, fast_target, is_base, save_script
 from test_scanner import predict_token
 
 FAST_SCAN = ["--timeout", "0.25", "--drain-window", "0.01"]

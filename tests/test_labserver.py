@@ -20,12 +20,11 @@ from fingerfuzz.labserver import (
     load_script,
     render_multiline,
     render_reply,
-    save_script,
 )
 from fingerfuzz.scanner import fingerprint_target
 from fingerfuzz.wire import DRP, TMO
 
-from conftest import constant_script, fast_target, lab_oracle, logged_in
+from conftest import constant_script, fast_target, lab_oracle, logged_in, save_script
 
 SCRIPT_TEXT = """\
 # toy product emulation

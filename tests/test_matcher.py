@@ -18,7 +18,7 @@ from fingerfuzz.matcher import (
     matrix_csv,
     rank,
 )
-from fingerfuzz.optimizer import discriminating_indexes
+from fingerfuzz.optimizer import discriminating_indexes, pair_counts
 from fingerfuzz.scanner import Fingerprint, load_fingerprint, save_fingerprint
 from fingerfuzz.wire import BY_TOKEN, ReplyObservation
 
@@ -416,8 +416,8 @@ def test_width_boundary_matches_brute_force(distinct, unknown):
     ]
     for label, entry in entries.items():
         assert match_pair(probe, entry).agree == brute_force_agreement(probe, entry)
-    selection = discriminating_indexes(db)
-    assert list(zip(selection.kept, selection.provenance)) == brute_force_kept(
+    assert discriminating_indexes(db).kept == db.kept
+    assert list(zip(db.kept, pair_counts(db), strict=True)) == brute_force_kept(
         [entries[label] for label in labels])
 
 
@@ -522,9 +522,8 @@ def test_packed_database_matches_brute_force(seed):
             discriminating_indexes(db)
         return
     assert match_matrix(db) == [[brute_force_percent(x, y) for y in fps] for x in fps]
-    selection = discriminating_indexes(db)
-    assert selection.kept == db.kept
-    assert list(zip(selection.kept, selection.provenance)) == brute_force_kept(fps)
+    assert discriminating_indexes(db).kept == db.kept
+    assert list(zip(db.kept, pair_counts(db), strict=True)) == brute_force_kept(fps)
 
 
 @pytest.mark.parametrize("seed", range(MATCH_ORACLE_SEEDS))

@@ -13,6 +13,7 @@ from fingerfuzz.matcher import FingerprintDB, match_pair
 from fingerfuzz.optimizer import (
     IndexSelection,
     discriminating_indexes,
+    pair_counts,
     project_fingerprint,
     reduce_collection,
     selection_csv,
@@ -52,9 +53,10 @@ def test_two_fingerprints_differing_at_two_positions():
     b = list(a)
     b[3] = "500"
     b[7] = "TMO"
-    sel = discriminating_indexes(db_of(a, b))
+    db = db_of(a, b)
+    sel = discriminating_indexes(db)
     assert sel.kept == (3, 7)
-    assert sel.provenance == (1, 1)
+    assert pair_counts(db) == (1, 1)
     assert sel.source_digest == DIGEST
 
 
@@ -64,7 +66,7 @@ def test_provenance_counts_disagreeing_pairs():
     db = db_of(["200", "200", "500"], ["200", "200", "502"], ["200", "501", "550"])
     sel = discriminating_indexes(db)
     assert sel.kept == (1, 2)
-    assert sel.provenance == (2, 3)
+    assert pair_counts(db) == (2, 3)
 
 
 def test_provenance_matches_brute_force():
@@ -81,7 +83,7 @@ def test_provenance_matches_brute_force():
         db = FingerprintDB(entries)
         sel = discriminating_indexes(db)
         fps = [db[label] for label in db.labels]
-        for index, count in zip(sel.kept, sel.provenance):
+        for index, count in zip(sel.kept, pair_counts(db), strict=True):
             expected = sum(
                 1 for x, y in combinations(fps, 2)
                 if x.observations[index] != y.observations[index]
@@ -110,7 +112,7 @@ def small_collection():
 
 def test_identity_reduction_preserves_digest(small_collection):
     total = len(small_collection.records)
-    sel = IndexSelection(small_collection.digest, tuple(range(total)), (1,) * total)
+    sel = IndexSelection(small_collection.digest, tuple(range(total)))
     reduced = reduce_collection(small_collection, sel)
     assert reduced.digest == small_collection.digest
     assert reduced.reduced_from == small_collection.digest
@@ -118,7 +120,7 @@ def test_identity_reduction_preserves_digest(small_collection):
 
 
 def test_single_record_reduction(small_collection):
-    sel = IndexSelection(small_collection.digest, (0,), (1,))
+    sel = IndexSelection(small_collection.digest, (0,))
     reduced = reduce_collection(small_collection, sel)
     assert len(reduced.records) == 1
     assert reduced.records[0].bytes == small_collection.records[0].bytes
@@ -126,13 +128,13 @@ def test_single_record_reduction(small_collection):
 
 
 def test_reduce_requires_matching_digest(small_collection):
-    sel = IndexSelection("ff" * 32, (0,), (1,))
+    sel = IndexSelection("ff" * 32, (0,))
     with pytest.raises(FingerfuzzError):
         reduce_collection(small_collection, sel)
 
 
 def test_reduce_rejects_empty_selection(small_collection):
-    sel = IndexSelection(small_collection.digest, (), ())
+    sel = IndexSelection(small_collection.digest, ())
     with pytest.raises(FingerfuzzError, match="discriminates"):
         reduce_collection(small_collection, sel)
 
@@ -142,7 +144,7 @@ def test_reduced_file_round_trip(tmp_path, small_collection):
 
     from fingerfuzz.fuzzgen import read_collection, write_collection
 
-    sel = IndexSelection(small_collection.digest, (1, 3), (1, 1))
+    sel = IndexSelection(small_collection.digest, (1, 3))
     reduced = reduce_collection(small_collection, sel)
     buf = io.BytesIO()
     write_collection(reduced, buf)
@@ -164,7 +166,7 @@ def test_reduced_file_starting_with_hash_byte_round_trips():
                    seed=6)
     )
     hash_record = next(r for r in col.records if r.bytes.startswith(b"#"))
-    sel = IndexSelection(col.digest, (hash_record.index,), (1,))
+    sel = IndexSelection(col.digest, (hash_record.index,))
     reduced = reduce_collection(col, sel)
     buf = io.BytesIO()
     write_collection(reduced, buf)
@@ -175,7 +177,7 @@ def test_reduced_file_starting_with_hash_byte_round_trips():
 
 def test_projection_of_full_selection_is_identity():
     fp = make_fp(["200", "500", "TMO"], "x")
-    sel = IndexSelection(DIGEST, (0, 1, 2), (1, 1, 1))
+    sel = IndexSelection(DIGEST, (0, 1, 2))
     projected = project_fingerprint(fp, sel, "ee" * 32)
     assert projected.observations == fp.observations
     assert projected.collection_digest == "ee" * 32
@@ -184,7 +186,7 @@ def test_projection_of_full_selection_is_identity():
 
 def test_projection_restricts_positions():
     fp = make_fp(["200", "500", "TMO", "502"], "x")
-    sel = IndexSelection(DIGEST, (1, 3), (1, 1))
+    sel = IndexSelection(DIGEST, (1, 3))
     projected = project_fingerprint(fp, sel, "ee" * 32)
     assert [o.token() for o in projected.observations] == ["500", "502"]
 
@@ -192,13 +194,13 @@ def test_projection_restricts_positions():
 def test_projection_rejects_empty_selection():
     fp = make_fp(["200"], "x")
     with pytest.raises(FingerfuzzError):
-        project_fingerprint(fp, IndexSelection(DIGEST, (), ()), "ee" * 32)
+        project_fingerprint(fp, IndexSelection(DIGEST, ()), "ee" * 32)
 
 
 def test_projection_requires_matching_digest():
     fp = make_fp(["200"], "x", digest="ff" * 32)
     with pytest.raises(FingerfuzzError):
-        project_fingerprint(fp, IndexSelection(DIGEST, (0,), (1,)), "ee" * 32)
+        project_fingerprint(fp, IndexSelection(DIGEST, (0,)), "ee" * 32)
 
 
 # --- end-to-end reduction behaviour ----------------------------------------------
@@ -266,5 +268,11 @@ def test_projection_equals_rescan(lab_factory):
 
 
 def test_selection_csv_format():
-    sel = IndexSelection(DIGEST, (3, 7, 9), (1, 4, 2))
-    assert selection_csv(sel) == "index,provenance\n3,1\n7,4\n9,2\n"
+    # four entries: one odd one out at 3 (3 pairs), two pairs at 7 (4),
+    # a pair and two singles at 9 (5)
+    a = ["200"] * 10
+    b, c, d = list(a), list(a), list(a)
+    d[3] = d[9] = "TMO"
+    c[7] = d[7] = "500"
+    b[9] = "502"
+    assert selection_csv(db_of(a, b, c, d)) == "index,provenance\n3,3\n7,4\n9,5\n"

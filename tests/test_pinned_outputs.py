@@ -13,7 +13,8 @@ every position varies somewhere in them; the clustered one draws from the
 positions hold the same token in every entry.  The sha256 of every output is pinned: a
 change to how the matcher stores or counts its database must leave the
 bytes of `match`, `match --json`, `match --matrix` and `optimize` (the
-reduced `.fc` and the `--emit-indexes` CSV) as they are.
+reduced `.fc` and the `--emit-indexes` CSV) as they are.  `optimize`
+without `--emit-indexes` must write the same reduced `.fc` and stdout line.
 """
 
 from __future__ import annotations
@@ -179,3 +180,20 @@ def test_outputs_are_pinned(tmp_path, capsys, name, pool, seed):
     got["reduced-fc"] = sha(reduced.read_bytes())
     got["indexes-csv"] = sha(csv_path.read_bytes())
     assert got == PINS[name]
+
+
+def test_optimize_without_emit_indexes_writes_the_pinned_collection(tmp_path, capsys):
+    # the differing pairs are counted only for --emit-indexes; the reduced
+    # .fc and the stdout line must not depend on it
+    fc, db_dir, _, _, _ = write_inputs(tmp_path, NARROW, 7, varying=0.6)
+    reduced = tmp_path / "reduced.fc"
+    lines, data = [], []
+    for extra in (["--emit-indexes", str(tmp_path / "kept.csv")], []):
+        assert main(["optimize", "--db", str(db_dir), "--collection", str(fc),
+                     "-o", str(reduced), *extra]) == 0
+        lines.append(capsys.readouterr().out)
+        data.append(reduced.read_bytes())
+        reduced.unlink()
+    assert lines[0] == lines[1] and lines[0].startswith(f"wrote {reduced}: kept ")
+    assert data[0] == data[1]
+    assert sha(data[1]) == PINS["clustered"]["reduced-fc"]

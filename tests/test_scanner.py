@@ -27,16 +27,15 @@ from fingerfuzz.scanner import (
 )
 from fingerfuzz.wire import BY_TOKEN, DEFAULT_SESSIONS, DRP, GBL, TMO, FtpSession
 
-from conftest import ALL_TOKENS, FAST_REPLY_TIMEOUT, constant_script, fast_target, layout
-from test_simulation import (  # noqa: F401  (simulate is a fixture)
-    codes,
-    counted,
-    raw_peer,
-    shrinks,
+from conftest import (
+    ALL_TOKENS,
+    FAST_REPLY_TIMEOUT,
+    constant_script,
+    fast_target,
+    layout,
     sim_target,
-    simulate,
-    wait_for_connections,
 )
+from simnet import codes, counted, raw_peer, shrinks, wait_for_connections
 
 
 def predict_token(script: ServerScript, request: bytes) -> str:
@@ -198,7 +197,7 @@ def test_one_connection_per_segment(lab_factory):
     assert server.connections == 5
 
 
-# --- the session pool on the simulated network of tests/test_simulation.py -------
+# --- the session pool on the simulated network of tests/simnet.py ---------------
 
 def test_reply_cut_off_by_the_timeout_does_not_shift_alignment(simulate):
     # The first reply stops short of its line end, and its tail comes after
