@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import socket
 import sys
 import types
@@ -116,6 +117,25 @@ def lab_oracle(script: ServerScript, collection, faults=None) -> tuple[str, ...]
         if tokens[-1] in (DRP, TMO) or record.index in faults:
             session = None
     return tuple(tokens)
+
+
+HEADER_ORDERS = ("reversed", "rotated", "shuffled")
+
+
+def reorder_header(data: bytes, closing: bytes, order: str) -> bytes:
+    """The file with the header lines before its `#closing` line put in
+    another order, one of HEADER_ORDERS."""
+    lines = data.split(b"\n")
+    end = lines.index(next(line for line in lines if line.startswith(b"#" + closing + b" ")))
+    head = lines[:end]
+    if order == "reversed":
+        head.reverse()
+    elif order == "rotated":
+        head = head[1:] + head[:1]
+    else:
+        random.Random(7).shuffle(head)
+    assert head != lines[:end]
+    return b"\n".join(head + lines[end:])
 
 
 def save_script(script: ServerScript) -> str:

@@ -23,6 +23,8 @@ from fingerfuzz.fuzzgen import (
     write_collection,
 )
 
+from conftest import HEADER_ORDERS, reorder_header
+
 
 def serialize(collection) -> bytes:
     buf = io.BytesIO()
@@ -143,6 +145,43 @@ def test_unknown_header_is_rejected(four_record_collection):
     with pytest.raises(ParseError, match="surprise") as err:
         read_collection(io.BytesIO(("\n".join(lines) + "\n").encode()))
     assert err.value.line_no == 2
+
+
+# a bad value for each FuzzConfig field, and the line its key is written on
+BAD_CONFIG_LINES = [
+    ("commands", b"#commands noop", 3),
+    ("max_arg_len", b"#max-arg-len -1", 4),
+    ("instances", b"#instances 0", 5),
+    ("mutations", b"#mutations -1", 6),
+    ("seed", b"#seed 18446744073709551616", 2),
+    ("alphabet", b"#alphabet-excludes 00", 7),
+]
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["written", "line2"])
+@pytest.mark.parametrize("field, bad, line_no", BAD_CONFIG_LINES)
+def test_bad_config_value_names_its_line(four_record_collection, field, bad, line_no, moved):
+    lines = serialize(four_record_collection).split(b"\n")
+    assert lines[line_no - 1].split(b" ")[0] == bad.split(b" ")[0]
+    del lines[line_no - 1]
+    at = 2 if moved else line_no
+    lines.insert(at - 1, bad)
+    with pytest.raises(ParseError, match=f"invalid config field '{field}'") as err:
+        read_collection(io.BytesIO(b"\n".join(lines)))
+    assert err.value.line_no == at
+
+
+@pytest.mark.parametrize("order", HEADER_ORDERS)
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+def test_header_lines_read_back_in_any_order(four_record_collection, reduced, order):
+    collection = four_record_collection
+    if reduced:
+        kept = (RequestRecord(i, record.bytes)
+                for i, record in enumerate(collection.records[1:3]))
+        collection = FuzzCollection(tuple(kept), collection.config,
+                                    reduced_from=collection.digest)
+    data = reorder_header(serialize(collection), b"digest", order)
+    assert read_collection(io.BytesIO(data)) == collection
 
 
 def test_record_count_must_match_config(four_record_collection):

@@ -30,9 +30,11 @@ from fingerfuzz.wire import BY_TOKEN, DEFAULT_SESSIONS, DRP, GBL, TMO, FtpSessio
 from conftest import (
     ALL_TOKENS,
     FAST_REPLY_TIMEOUT,
+    HEADER_ORDERS,
     constant_script,
     fast_target,
     layout,
+    reorder_header,
     sim_target,
 )
 from simnet import codes, counted, raw_peer, shrinks, wait_for_connections
@@ -319,6 +321,12 @@ def test_fingerprint_headers():
 def test_fingerprint_round_trip():
     fp = sample_fingerprint()
     assert read_fingerprint(io.BytesIO(serialize(fp))) == fp
+
+
+@pytest.mark.parametrize("order", HEADER_ORDERS)
+def test_fingerprint_header_lines_read_back_in_any_order(order):
+    fp = sample_fingerprint()
+    assert read_fingerprint(io.BytesIO(reorder_header(serialize(fp), b"login", order))) == fp
 
 
 def test_every_token_survives_a_file_round_trip():
