@@ -32,7 +32,7 @@ from dataclasses import InitVar, dataclass, field
 from typing import BinaryIO, Iterable, NamedTuple
 
 from .errors import ConfigError, IntegrityError, ParseError
-from .fileio import atomic_write, decode_ascii, format_header, parse_header
+from .fileio import atomic_write, decode_ascii, format_header, load, parse_header
 from .rng import SplitMix64
 
 # Control-connection commands only; transfer and directory-changing commands
@@ -249,36 +249,28 @@ def _parse_fc_version(text: str) -> int:
     return FC_VERSION
 
 
-# key -> value parser, in the order write_collection emits them; the header
-# always closes with the digest line, because requests may themselves start
-# with '#' and so the boundary must be structural
+# key -> (field, parse, format), in the order write_collection emits them:
+# the FuzzConfig fields, the version, the source of a reduced collection and
+# the digest.  The header always closes with the digest line, because
+# requests may themselves start with '#' and so the boundary must be
+# structural.
 _FC_HEADER = {
-    "fc-version": _parse_fc_version,
-    "seed": int,
-    "commands": lambda text: tuple(c for c in text.split(",") if c),
-    "max-arg-len": int,
-    "instances": int,
-    "mutations": int,
-    "alphabet-excludes": _parse_excludes_token,
-    "reduced-from": str,
-    "digest": str,
+    "fc-version": ("fc_version", _parse_fc_version, str),
+    "seed": ("seed", int, str),
+    "commands": ("commands", lambda text: tuple(filter(None, text.split(","))), ",".join),
+    "max-arg-len": ("max_arg_len", int, str),
+    "instances": ("instances", int, str),
+    "mutations": ("mutations", int, str),
+    "alphabet-excludes": ("alphabet", _parse_excludes_token, _excludes_token),
+    "reduced-from": ("reduced_from", str, str),
+    "digest": ("digest", str, str),
 }
 
 
 def write_collection(collection: FuzzCollection, sink: BinaryIO) -> None:
     """Serialize to the text collection format (LF endings, escaped body)."""
-    cfg = collection.config
-    sink.write(format_header([
-        ("fc-version", FC_VERSION),
-        ("seed", cfg.seed),
-        ("commands", ",".join(cfg.commands)),
-        ("max-arg-len", cfg.max_arg_len),
-        ("instances", cfg.instances),
-        ("mutations", cfg.mutations),
-        ("alphabet-excludes", _excludes_token(cfg.alphabet)),
-        ("reduced-from", collection.reduced_from),
-        ("digest", collection.digest),
-    ]))
+    sink.write(format_header(_FC_HEADER, {
+        **vars(collection.config), **vars(collection), "fc_version": FC_VERSION}))
     sink.write(collection.body)
 
 
@@ -320,21 +312,19 @@ def read_collection(source: BinaryIO) -> FuzzCollection:
     requests = decoded.split(b"\n")
     requests.pop()  # after the final LF
 
+    stored, reduced_from = headers.pop("digest"), headers.pop("reduced_from")
+    del headers["fc_version"]
     try:
-        config = FuzzConfig(
-            headers["commands"], headers["max-arg-len"], headers["instances"],
-            headers["mutations"], headers["seed"], headers["alphabet-excludes"],
-        )
-    except ConfigError as exc:  # max_arg_len is `#max-arg-len`, alphabet `#alphabet-excludes`
-        key = "#" + exc.field.replace("_", "-")
-        line_no = next(n for n, line in enumerate(lines[:start], 1) if line.startswith(key))
+        config = FuzzConfig(**headers)
+    except ConfigError as exc:  # named at the line of the key whose row holds the field
+        key = next(key for key, (name, _, _) in _FC_HEADER.items() if name == exc.field)
+        line_no = next(n for n, line in enumerate(lines[:start], 1)
+                       if line[1:].partition(" ")[0] == key)
         raise ParseError(str(exc), line_no) from None
 
-    reduced_from = headers.get("reduced-from")
     records = tuple(map(RequestRecord._make, enumerate(requests)))
     # the bytes read are the body: the match refuses any other spelling
     collection = FuzzCollection(records, config, reduced_from, _body=body)
-    stored = headers["digest"]
     if stored != collection.digest:
         raise IntegrityError(f"digest mismatch: header {stored}, body {collection.digest}")
     if reduced_from is None and len(records) != config.record_count():
@@ -351,10 +341,4 @@ def save_collection(collection: FuzzCollection, path) -> None:
 
 
 def load_collection(path) -> FuzzCollection:
-    with open(path, "rb") as fh:
-        try:
-            return read_collection(fh)
-        except ParseError as exc:
-            raise ParseError(exc.reason, exc.line_no, exc.column, path) from None
-        except IntegrityError as exc:
-            raise IntegrityError(f"{path}: {exc}") from None
+    return load(path, read_collection)

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .fileio import decode_ascii
+from .fileio import decode_ascii, load
 
 log = logging.getLogger("fingerfuzz.labserver")
 
@@ -374,8 +374,4 @@ def load_script(source: str) -> ServerScript:
 
 
 def load_script_file(path) -> ServerScript:
-    with open(path, "rb") as fh:
-        try:
-            return load_script(decode_ascii(fh.read(), "lab script"))
-        except ParseError as exc:
-            raise ParseError(exc.reason, exc.line_no, path=path) from None
+    return load(path, lambda fh: load_script(decode_ascii(fh.read(), "lab script")))

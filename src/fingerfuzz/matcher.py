@@ -47,9 +47,9 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable
 
-from . import wire
+from . import fileio, wire
 from .errors import DatabaseError, IncomparableError
-from .scanner import Fingerprint, open_fingerprint, parse_fingerprint
+from .scanner import Fingerprint, parse_fingerprint
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ class FingerprintDB:
         entries: dict[str, tuple[dict, str]] = {}
         # by name: on POSIX the order of sorting the paths, at a third of the cost
         for path in sorted(directory.glob("*.fp"), key=attrgetter("name")):
-            header, entry_ids = open_fingerprint(path, parse)
+            header, entry_ids = fileio.load(path, parse)
             label = header["label"] if header["label"] is not None else path.stem
             if label in entries:
                 raise DatabaseError(f"duplicate label '{label}' ({path.name})")

@@ -42,7 +42,7 @@ from .errors import (
     ScanRefusedError,
     TransportError,
 )
-from .fileio import atomic_write, decode_ascii, format_header, parse_header
+from .fileio import atomic_write, decode_ascii, format_header, load, parse_header
 from .fuzzgen import FuzzCollection, RequestRecord
 from .wire import FtpSession, ReplyObservation, TargetSpec
 
@@ -255,15 +255,15 @@ def _parse_login(text: str) -> tuple[ReplyObservation, ...]:
     return tuple(ReplyObservation.from_token(t) for t in tokens)
 
 
-# key -> value parser, in the order write_fingerprint emits them
+# key -> (Fingerprint field, parse, format), in the order write_fingerprint emits them
 _FP_HEADER = {
-    "fp-version": _parse_fp_version,
-    "collection": _parse_digest,
-    "target": str,
-    "label": str,
-    "created": _parse_created,
-    "greeting": ReplyObservation.from_token,
-    "login": _parse_login,
+    "fp-version": ("fp_version", _parse_fp_version, str),
+    "collection": ("collection_digest", _parse_digest, str),
+    "target": ("target", str, str),
+    "label": ("label", str, str),
+    "created": ("created_at", _parse_created, _format_created),
+    "greeting": ("greeting", ReplyObservation.from_token, str),
+    "login": ("login", _parse_login, ",".join),
 }
 
 
@@ -284,15 +284,7 @@ def write_fingerprint(fp: Fingerprint, sink: BinaryIO) -> None:
         raise ValueError("fingerprint holds a string that is no observation token")
     if fp.fp_version not in READABLE_FP_VERSIONS:
         raise ValueError(f"unknown fp-version {fp.fp_version}")
-    sink.write(format_header([
-        ("fp-version", fp.fp_version),
-        ("collection", fp.collection_digest),
-        ("target", fp.target),
-        ("label", fp.label),
-        ("created", _format_created(fp.created_at)),
-        ("greeting", fp.greeting),
-        ("login", ",".join(fp.login)),
-    ]))
+    sink.write(format_header(_FP_HEADER, vars(fp)))
     sink.write(("\n".join(fp.observations) + "\n").encode("ascii"))
 
 
@@ -318,16 +310,7 @@ def parse_fingerprint(source: BinaryIO, encode: Callable[[Iterator[str]], T]) ->
                             if line not in wire.BY_TOKEN)
         raise ParseError(f"bad observation token {bad!r}" if bad else "blank line",
                          line_no) from None
-    fields = {
-        "collection_digest": headers["collection"],
-        "target": headers["target"],
-        "label": headers.get("label"),
-        "created_at": headers["created"],
-        "greeting": headers["greeting"],
-        "login": headers["login"],
-        "fp_version": headers["fp-version"],
-    }
-    return fields, body
+    return headers, body
 
 
 def _observations(lines: Iterator[str]) -> tuple[ReplyObservation, ...]:
@@ -347,14 +330,5 @@ def save_fingerprint(fp: Fingerprint, path) -> None:
     atomic_write(path, buf.getvalue())
 
 
-def open_fingerprint(path, parse: Callable[[BinaryIO], T]) -> T:
-    """`parse` of the file at `path`; a ParseError names the path."""
-    with open(path, "rb") as fh:
-        try:
-            return parse(fh)
-        except ParseError as exc:
-            raise ParseError(exc.reason, exc.line_no, exc.column, path) from None
-
-
 def load_fingerprint(path) -> Fingerprint:
-    return open_fingerprint(path, read_fingerprint)
+    return load(path, read_fingerprint)
