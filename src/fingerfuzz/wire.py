@@ -88,6 +88,8 @@ class TargetSpec:
     sessions: int = DEFAULT_SESSIONS
 
     def __post_init__(self):
+        if not self.host:
+            raise ValueError("host must not be empty")
         if not 1 <= self.port <= 65535:
             raise ValueError("port must be in 1..65535")
         for name in ("reply_timeout", "drain_window", "connect_timeout"):

@@ -197,6 +197,11 @@ def test_target_validation(kwargs):
         TargetSpec("h", **kwargs)
 
 
+def test_target_refuses_an_empty_host():
+    with pytest.raises(ValueError, match="host"):
+        TargetSpec("")
+
+
 def test_target_takes_the_longest_wait():
     target = TargetSpec("h", reply_timeout=threading.TIMEOUT_MAX,
                         connect_timeout=threading.TIMEOUT_MAX)
