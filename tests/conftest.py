@@ -8,7 +8,8 @@ import types
 import pytest
 
 from fingerfuzz import wire
-from fingerfuzz.labserver import LabServer, LabSession, ServerScript
+from fingerfuzz.fuzzgen import FuzzConfig
+from fingerfuzz.labserver import LabServer, LabSession, Rule, ServerScript
 from fingerfuzz.wire import (
     ANONYMOUS_PASSWORD,
     ANONYMOUS_USER,
@@ -78,6 +79,31 @@ def is_base(config, record) -> bool:
             and all(0x20 <= b <= 0x7E for b in arg))
 
 
+def predict_token(script: ServerScript, request: bytes) -> str:
+    """Independent re-statement of the scripted behaviour, for oracles.  It
+    reads each rule's spelling itself, not the response the rule stores."""
+    head, _, arg = request.partition(b" ")
+    for rule in script.rules:
+        if rule.command != "*" and head.upper() != rule.command.encode():
+            continue
+        predicate, _, threshold = rule.predicate.partition(":")
+        if predicate == "LEN_GT" and not len(arg) > int(threshold):
+            continue
+        if predicate == "NONPRINT" and not any(
+            b < 0x20 or b > 0x7E for b in arg
+        ):
+            continue
+        if predicate == "EMPTY" and len(arg) != 0:
+            continue
+        if rule.action == "DROP":
+            return DRP
+        if rule.action == "SILENCE":
+            return TMO
+        fields = rule.action.split(":")  # REPLY:code:text, MULTI:code:..., DELAY:ms:code:text
+        return fields[2] if fields[0] == "DELAY" else fields[1]
+    return str(script.default_code)
+
+
 def logged_in(script: ServerScript) -> LabSession:
     """A lab session past the anonymous login, as a scan makes it.  From
     here on its replies depend on the request line alone."""
@@ -136,6 +162,43 @@ def reorder_header(data: bytes, closing: bytes, order: str) -> bytes:
         random.Random(7).shuffle(head)
     assert head != lines[:end]
     return b"\n".join(head + lines[end:])
+
+
+CONFORMANCE_CONFIG = FuzzConfig(commands=("USER", "NOOP", "SYST", "FEAT"), max_arg_len=2,
+                                instances=2, mutations=2, seed=7)
+
+
+def random_script(rng: random.Random) -> ServerScript:
+    """3-8 rules over every action.  SILENCE waits out the reply timeout, so
+    it gets a named command and a rare predicate: an empty argument, or one
+    longer than any unmutated argument."""
+    commands = CONFORMANCE_CONFIG.commands
+    rules = []
+    for n in range(rng.randint(3, 8)):
+        action = rng.choices(("REPLY", "MULTI", "DROP", "DELAY", "SILENCE"),
+                             weights=(4, 2, 2, 2, 1))[0]
+        if action == "SILENCE":
+            command = rng.choice(commands)
+            predicate = rng.choice(("EMPTY", "LEN_GT"))
+        else:
+            command = rng.choice(commands + ("*",))
+            predicate = rng.choice(("ANY", "LEN_GT", "NONPRINT", "EMPTY"))
+        if predicate == "LEN_GT":
+            threshold = (CONFORMANCE_CONFIG.max_arg_len if action == "SILENCE"
+                         else rng.randint(0, 3))
+            predicate = f"LEN_GT:{threshold}"
+        if action in ("REPLY", "MULTI", "DELAY"):
+            code = rng.randint(100, 599)
+        if action == "REPLY":
+            action = f"REPLY:{code}:r{n}"
+        elif action == "MULTI":
+            action = f"MULTI:{code}:" + "|".join(f"m{n}-{i}" for i in range(rng.randint(1, 3)))
+        elif action == "DELAY":
+            action = f"DELAY:{rng.randint(0, 20)}:{code}:r{n}"
+        rules.append(Rule(command, predicate, action))
+    return ServerScript(name="random", user_code=rng.choice((331, 332, 230)),
+                        pass_code=rng.choice((230, 202)), rules=tuple(rules),
+                        default_code=rng.randint(100, 599))
 
 
 def save_script(script: ServerScript) -> str:

@@ -17,8 +17,7 @@ from fingerfuzz.labserver import LabServer, Rule, ServerScript
 from fingerfuzz.scanner import Fingerprint, fingerprint_target, load_fingerprint, save_fingerprint
 from fingerfuzz.wire import TargetSpec
 
-from conftest import constant_script, fast_target, is_base, save_script
-from test_scanner import predict_token
+from conftest import constant_script, fast_target, is_base, predict_token, save_script
 
 FAST_SCAN = ["--timeout", "0.25", "--drain-window", "0.01"]
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from fingerfuzz.errors import ParseError
-from fingerfuzz.fuzzgen import FuzzConfig, build_collection
+from fingerfuzz.fuzzgen import build_collection
 from fingerfuzz.labserver import (
     LabServer,
     LabSession,
@@ -24,7 +24,15 @@ from fingerfuzz.labserver import (
 from fingerfuzz.scanner import fingerprint_target
 from fingerfuzz.wire import DRP, TMO
 
-from conftest import constant_script, fast_target, lab_oracle, logged_in, save_script
+from conftest import (
+    CONFORMANCE_CONFIG,
+    constant_script,
+    fast_target,
+    lab_oracle,
+    logged_in,
+    random_script,
+    save_script,
+)
 
 SCRIPT_TEXT = """\
 # toy product emulation
@@ -364,41 +372,6 @@ def test_invalid_script_rejected_at_start():
 
 # CI sweeps more seeds through this variable; tier-1 keeps a few
 CONFORMANCE_SEEDS = int(os.environ.get("LAB_CONFORMANCE_SEEDS", "3"))
-CONFORMANCE_CONFIG = FuzzConfig(commands=("USER", "NOOP", "SYST", "FEAT"), max_arg_len=2,
-                                instances=2, mutations=2, seed=7)
-
-
-def random_script(rng: random.Random) -> ServerScript:
-    """3-8 rules over every action.  SILENCE waits out the reply timeout, so
-    it gets a named command and a rare predicate: an empty argument, or one
-    longer than any unmutated argument."""
-    commands = CONFORMANCE_CONFIG.commands
-    rules = []
-    for n in range(rng.randint(3, 8)):
-        action = rng.choices(("REPLY", "MULTI", "DROP", "DELAY", "SILENCE"),
-                             weights=(4, 2, 2, 2, 1))[0]
-        if action == "SILENCE":
-            command = rng.choice(commands)
-            predicate = rng.choice(("EMPTY", "LEN_GT"))
-        else:
-            command = rng.choice(commands + ("*",))
-            predicate = rng.choice(("ANY", "LEN_GT", "NONPRINT", "EMPTY"))
-        if predicate == "LEN_GT":
-            threshold = (CONFORMANCE_CONFIG.max_arg_len if action == "SILENCE"
-                         else rng.randint(0, 3))
-            predicate = f"LEN_GT:{threshold}"
-        if action in ("REPLY", "MULTI", "DELAY"):
-            code = rng.randint(100, 599)
-        if action == "REPLY":
-            action = f"REPLY:{code}:r{n}"
-        elif action == "MULTI":
-            action = f"MULTI:{code}:" + "|".join(f"m{n}-{i}" for i in range(rng.randint(1, 3)))
-        elif action == "DELAY":
-            action = f"DELAY:{rng.randint(0, 20)}:{code}:r{n}"
-        rules.append(Rule(command, predicate, action))
-    return ServerScript(name="random", user_code=rng.choice((331, 332, 230)),
-                        pass_code=rng.choice((230, 202)), rules=tuple(rules),
-                        default_code=rng.randint(100, 599))
 
 
 # sha256 prefixes of save_script(random_script(Random(seed))), seeds 0-39, as

@@ -34,35 +34,11 @@ from conftest import (
     constant_script,
     fast_target,
     layout,
+    predict_token,
     reorder_header,
     sim_target,
 )
 from simnet import codes, counted, raw_peer, shrinks, wait_for_connections
-
-
-def predict_token(script: ServerScript, request: bytes) -> str:
-    """Independent re-statement of the scripted behaviour, for oracles.  It
-    reads each rule's spelling itself, not the response the rule stores."""
-    head, _, arg = request.partition(b" ")
-    for rule in script.rules:
-        if rule.command != "*" and head.upper() != rule.command.encode():
-            continue
-        predicate, _, threshold = rule.predicate.partition(":")
-        if predicate == "LEN_GT" and not len(arg) > int(threshold):
-            continue
-        if predicate == "NONPRINT" and not any(
-            b < 0x20 or b > 0x7E for b in arg
-        ):
-            continue
-        if predicate == "EMPTY" and len(arg) != 0:
-            continue
-        if rule.action == "DROP":
-            return DRP
-        if rule.action == "SILENCE":
-            return TMO
-        fields = rule.action.split(":")  # REPLY:code:text, MULTI:code:..., DELAY:ms:code:text
-        return fields[2] if fields[0] == "DELAY" else fields[1]
-    return str(script.default_code)
 
 
 def tiny_collection(commands=("NOOP",), max_arg_len=1, mutations=1, seed=7):

@@ -61,7 +61,15 @@ from fingerfuzz.labserver import Rule, ServerScript
 from fingerfuzz.scanner import RECONNECT_ATTEMPTS, fingerprint_target
 from fingerfuzz.wire import DRP, GBL, TMO
 
-from conftest import FAST_DRAIN_WINDOW, FAST_REPLY_TIMEOUT, lab_oracle, logged_in, sim_target
+from conftest import (
+    CONFORMANCE_CONFIG,
+    FAST_DRAIN_WINDOW,
+    FAST_REPLY_TIMEOUT,
+    lab_oracle,
+    logged_in,
+    random_script,
+    sim_target,
+)
 from simnet import (
     EOF,
     RESET,
@@ -72,7 +80,6 @@ from simnet import (
     shrinks,
     wait_for_connections,
 )
-from test_labserver import CONFORMANCE_CONFIG, random_script
 
 # CI sweeps more seeds through this variable
 SIM_SEEDS = int(os.environ.get("SIM_CONFORMANCE_SEEDS", "40"))
