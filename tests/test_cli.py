@@ -305,17 +305,16 @@ def test_scan_rejects_bad_target_before_connecting(tmp_path, tiny_fc, lab_factor
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("line", [":21", "[]", "[]:21"])
-def test_scan_rejects_an_empty_host_before_connecting(tmp_path, tiny_fc, lab_factory,
-                                                      capsys, line):
+def test_scan_rejects_an_empty_host_before_connecting(tmp_path, tiny_fc, lab_factory, capsys):
     server = lab_factory(constant_script("unused", 200))
     targets = tmp_path / "targets.txt"
-    targets.write_text(f"127.0.0.1:{server.port}\n{line}\n")
     out_dir = tmp_path / "fps"
-    assert main(["scan", "--collection", str(tiny_fc), "--targets", str(targets),
-                 *FAST_SCAN, "-o", str(out_dir)]) == 2
-    assert capsys.readouterr().err == "usage error: target :21: host must not be empty\n"
-    # the collection is not read first: an absent one is not what fails
+    for line in (":21", "[]", "[]:21"):
+        targets.write_text(f"127.0.0.1:{server.port}\n{line}\n")
+        assert main(["scan", "--collection", str(tiny_fc), "--targets", str(targets),
+                     *FAST_SCAN, "-o", str(out_dir)]) == 2
+        assert capsys.readouterr().err == "usage error: target :21: host must not be empty\n"
+    # refused before the collection is read: an absent one is not what fails
     assert main(["scan", "--collection", str(tmp_path / "absent.fc"), "--host", "",
                  "--port", str(server.port), *FAST_SCAN, "-o", str(tmp_path / "x.fp")]) == 2
     assert capsys.readouterr().err == (
