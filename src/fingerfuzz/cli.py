@@ -52,22 +52,15 @@ def _port(text: str) -> int:
     return value
 
 
-def _number_in(low: float, high: float, what: str):
-    """An argument type: a number from low to high; NaN is refused too."""
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not low <= value <= high:  # NaN fails it too
-            raise argparse.ArgumentTypeError(f"must be {what} in {low:.0f}..{high:.0f}")
-        return value
-    return parse
-
-
-# the --delay, up to the longest wait a thread takes; TargetSpec checks the timeouts itself
-_seconds = _number_in(0, threading.TIMEOUT_MAX, "a number of seconds")
-_percent = _number_in(0, 100, "a percentage")
+def _percent(text: str) -> float:
+    """An argument type: a number from 0 to 100; NaN is refused too."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 <= value <= 100:  # NaN fails it too
+        raise argparse.ArgumentTypeError("must be a percentage in 0..100")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,15 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--user", default=wire.ANONYMOUS_USER)
     scan.add_argument("--pass", dest="password", default=wire.ANONYMOUS_PASSWORD)
     scan.add_argument("--label", default=None, help="name stored in the fingerprint")
-    scan.add_argument("--delay", type=_seconds, default=0.0,
+    scan.add_argument("--delay", type=float, default=wire.TargetSpec.delay,
                       help="seconds each session waits between requests")
     scan.add_argument("--sessions", type=_positive_int, default=wire.DEFAULT_SESSIONS,
                       help="command blocks scanned at the same time, each on its "
                            f"own connection (1..{wire.MAX_SESSIONS}); fewer are used "
                            "while the server refuses more connections")
-    scan.add_argument("--timeout", type=float, default=5.0,
+    scan.add_argument("--timeout", type=float, default=wire.TargetSpec.reply_timeout,
                       help="seconds to wait for each reply")
-    scan.add_argument("--drain-window", type=float, default=0.2,
+    scan.add_argument("--drain-window", type=float,
+                      default=wire.TargetSpec.drain_window,
                       help="seconds to discard trailing bytes after each reply")
     scan.add_argument("--targets", default=None,
                       help="file with one host[:port] per line; scans run "
@@ -214,15 +208,14 @@ def _target(args, host: str, port: int) -> wire.TargetSpec:
             reply_timeout=args.timeout,
             drain_window=args.drain_window,
             sessions=args.sessions,
+            delay=args.delay,
         )
     except ValueError as exc:
         raise UsageError(f"target {wire.host_port(host, port)}: {exc}") from None
 
 
 def _scan_one(collection, args, target: wire.TargetSpec, output: str) -> int:
-    fp = scanner.fingerprint_target(
-        collection, target, label=args.label, delay=args.delay
-    )
+    fp = scanner.fingerprint_target(collection, target, label=args.label)
     scanner.save_fingerprint(fp, output)
     print(f"wrote {output}: {len(fp.observations)} observations "
           f"[{_histogram(fp.observations)}]")

@@ -29,9 +29,9 @@ so rank and match_matrix count the zero bytes of `(a ^ b).to_bytes(...)`; at
 two bytes per position each lane's two bytes are ORed first.  Two entries
 agree at every position outside `kept`, and a probe's agreement there is
 counted once, against the constant.  The count is exact, so ratios and
-percentages are the same as counting position by position.  match_pair,
-which has no database to pack against, compares the two token vectors
-directly.
+percentages are the same as counting position by position.  match_pair
+counts the same way: it ranks the probe against a database of the one
+candidate.
 """
 
 from __future__ import annotations
@@ -73,26 +73,10 @@ def _percent(agree: int, total: int) -> float:
     return (q + (2 * r >= total)) / 100
 
 
-def _check_comparable(a: Fingerprint, b: Fingerprint) -> None:
-    if a.collection_digest != b.collection_digest:
-        raise IncomparableError(
-            f"collection digests differ: {a.collection_digest[:12]}… vs "
-            f"{b.collection_digest[:12]}…"
-        )
-    if len(a.observations) != len(b.observations):
-        raise IncomparableError(
-            f"vector lengths differ: {len(a.observations)} vs {len(b.observations)}"
-        )
-    if not a.observations:
-        raise IncomparableError("fingerprints are empty")
-
-
 def match_pair(a: Fingerprint, b: Fingerprint) -> MatchResult:
     """Count equal positions; labelled after the candidate b's label or target."""
-    _check_comparable(a, b)
-    agree = sum(map(str.__eq__, a.observations, b.observations))
     label = b.label if b.label is not None else b.target
-    return MatchResult(label, agree, len(a.observations))
+    return rank(a, FingerprintDB({label: b}), k=1)[0]
 
 
 class _TokenIds(dict):

@@ -71,17 +71,12 @@ class Fingerprint:
     fp_version: int = FP_VERSION
 
 
-def fingerprint_target(
-    collection: FuzzCollection,
-    target: TargetSpec,
-    label: str | None = None,
-    delay: float = 0.0,
-) -> Fingerprint:
+def fingerprint_target(collection: FuzzCollection, target: TargetSpec,
+                       label: str | None = None) -> Fingerprint:
     """Send every collection record and return the reply vector in order.
 
     Requires a successful login first: without valid access all servers of
     interest answer with one uniform error code and cannot be told apart.
-    `delay` is the pause after each request of one session.
     """
     step = collection.config.block_length
     count = len(collection.records)
@@ -89,7 +84,7 @@ def fingerprint_target(
     try:
         user_reply, pass_reply = session.login()
         observations = _SessionPool(
-            target, collection.records, delay, session,
+            target, collection.records, session,
             [(start, min(start + step, count)) for start in range(0, count, step)],
         ).scan()
     finally:
@@ -113,10 +108,9 @@ class _SessionPool:
     """
 
     def __init__(self, target: TargetSpec, records: tuple[RequestRecord, ...],
-                 delay: float, session: FtpSession, runs: list[tuple[int, int]]):
+                 session: FtpSession, runs: list[tuple[int, int]]):
         self.target = target
         self.records = records
-        self.delay = delay
         self.observations: list[ReplyObservation | None] = [None] * len(records)
         self._spare: FtpSession | None = session  # logged in; serves the first run taken
         self._runs = deque(runs)
@@ -185,8 +179,8 @@ class _SessionPool:
             while index < end and not self._halt.is_set():
                 self.observations[index] = session.exchange(self.records[index].bytes)
                 index += 1
-                if self.delay > 0:
-                    self._halt.wait(self.delay)
+                if self.target.delay > 0:
+                    self._halt.wait(self.target.delay)
                 if not session.alive:
                     break
         except (ConnectError, ScanRefusedError, TransportError) as exc:  # no session left
@@ -267,13 +261,16 @@ _FP_HEADER = {
 }
 
 
-def check_label(label: str) -> None:
-    """Raise ValueError unless the label fits on one ASCII `#label` line."""
-    if not label.isascii() or "\n" in label or "\r" in label:
-        raise ValueError(f"label must be ASCII without CR or LF: {label!r}")
+def check_label(text: str, field: str = "label") -> None:
+    """Raise ValueError unless the label, or the header value that `field`
+    names, fits on one ASCII header line."""
+    if not text.isascii() or "\n" in text or "\r" in text:
+        raise ValueError(f"{field} must be ASCII without CR or LF: {text!r}")
 
 
 def write_fingerprint(fp: Fingerprint, sink: BinaryIO) -> None:
+    _parse_digest(fp.collection_digest)
+    check_label(fp.target, "target")
     if fp.label is not None:
         check_label(fp.label)
     if not 1 <= len(fp.login) <= 2:

@@ -86,10 +86,15 @@ class TargetSpec:
     drain_window: float = 0.2
     connect_timeout: float = 10.0
     sessions: int = DEFAULT_SESSIONS
+    delay: float = 0.0  # the pause after each request of one session
 
     def __post_init__(self):
         if not self.host:
             raise ValueError("host must not be empty")
+        # the fingerprint's `#target` line is ASCII, and no host name holds a space
+        if not (self.host.isascii() and self.host.isprintable()) or " " in self.host:
+            raise ValueError("host must be printable ASCII without spaces: give an "
+                             "international name in its IDNA (xn--) form")
         if not 1 <= self.port <= 65535:
             raise ValueError("port must be in 1..65535")
         for name in ("reply_timeout", "drain_window", "connect_timeout"):
@@ -97,6 +102,9 @@ class TargetSpec:
             if not 0 < getattr(self, name) <= threading.TIMEOUT_MAX:
                 raise ValueError(f"{name} must be a number of seconds in "
                                  f"(0, {threading.TIMEOUT_MAX:.0f}]")
+        if not 0 <= self.delay <= threading.TIMEOUT_MAX:
+            raise ValueError(f"delay must be a number of seconds in "
+                             f"[0, {threading.TIMEOUT_MAX:.0f}]")
         if self.drain_window >= self.reply_timeout:
             raise ValueError("drain_window must be smaller than reply_timeout")
         if not 1 <= self.sessions <= MAX_SESSIONS:

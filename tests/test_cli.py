@@ -6,6 +6,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -198,63 +199,6 @@ def test_scan_requires_collection_flag(tmp_path):
     assert err.value.code == 2
 
 
-def test_scan_requires_host_or_targets(tmp_path, tiny_fc):
-    assert main(["scan", "--collection", str(tiny_fc),
-                 "-o", str(tmp_path / "x.fp")]) == 2
-
-
-@pytest.mark.parametrize("label", ["two\nlines", "cr\rhere", "caf\u00e9"])
-def test_scan_rejects_unwritable_label_before_connecting(tmp_path, tiny_fc,
-                                                         lab_factory, capsys, label):
-    server = lab_factory(constant_script("unused", 200))
-    out = tmp_path / "x.fp"
-    code = main(["scan", "--collection", str(tiny_fc), "--host", "127.0.0.1",
-                 "--port", str(server.port), "--label", label, *FAST_SCAN,
-                 "-o", str(out)])
-    assert code == 2
-    assert "label" in capsys.readouterr().err
-    assert server.connections == 0
-    assert not out.exists()
-
-
-def test_scan_rejects_non_ascii_targets_file_before_connecting(tmp_path, tiny_fc,
-                                                               lab_factory, capsys):
-    server = lab_factory(constant_script("unused", 200))
-    targets = tmp_path / "targets.txt"
-    targets.write_bytes(f"127.0.0.1:{server.port}\n".encode() + b"h\xc3\xb6st:21\n")
-    out_dir = tmp_path / "fps"
-    code = main(["scan", "--collection", str(tiny_fc), "--targets", str(targets),
-                 *FAST_SCAN, "-o", str(out_dir)])
-    assert code == 2
-    assert "line 2: non-ASCII" in capsys.readouterr().err
-    assert server.connections == 0
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("flag,value,field", [
-    ("--user", "a\nb", "username"),
-    ("--user", "\u540d", "username"),
-    ("--pass", "x\ry", "password"),
-    ("--pass", "\u540d", "password"),
-])
-def test_scan_rejects_unsendable_credentials_before_connecting(tmp_path, tiny_fc, lab_factory,
-                                                               capsys, flag, value, field):
-    # the login sends them in one latin-1 request line
-    server = lab_factory(constant_script("unused", 200))
-    targets = tmp_path / "targets.txt"
-    targets.write_text(f"127.0.0.1:{server.port}\n")
-    single = ["--host", "127.0.0.1", "--port", str(server.port), "-o", str(tmp_path / "x.fp")]
-    listed = ["--targets", str(targets), "-o", str(tmp_path / "fps")]
-    for collection in (tmp_path / "absent.fc", tiny_fc):
-        for where in (single, listed):
-            code = main(["scan", "--collection", str(collection), *where, flag, value,
-                         *FAST_SCAN])
-            assert code == 2
-            assert f"{field} must be latin-1 text without CR or LF" in capsys.readouterr().err
-    assert server.connections == 0
-    assert not (tmp_path / "x.fp").exists() and not (tmp_path / "fps").exists()
-
-
 @pytest.mark.parametrize("text,expected", [
     ("192.0.2.1", ("192.0.2.1", 21)),
     ("192.0.2.1:2121", ("192.0.2.1", 2121)),
@@ -276,89 +220,10 @@ def test_target_descriptor_reads_back(host, port):
     assert _parse_host_port(TargetSpec(host, port).descriptor, 21) == (host, port)
 
 
-def test_target_usage_error_brackets_an_ipv6_host(tmp_path, capsys):
-    assert main(["scan", "--collection", str(tmp_path / "absent.fc"), "--host", "::1",
-                 "--timeout", "0.1", "--drain-window", "0.2", "-o", str(tmp_path / "x.fp")]) == 2
-    assert capsys.readouterr().err.startswith("usage error: target [::1]:21: drain_window")
-
-
 @pytest.mark.parametrize("text", ["[::1", "[::1]2121", "[::1]:", "[::1]:x", "host:", "host:x"])
 def test_parse_host_port_refuses_a_bad_target(text):
     with pytest.raises(UsageError, match="bad target"):
         _parse_host_port(text, 21)
-
-
-def test_scan_rejects_bad_target_before_connecting(tmp_path, tiny_fc, lab_factory,
-                                                  capsys):
-    server = lab_factory(constant_script("unused", 200))
-    targets = tmp_path / "targets.txt"
-    targets.write_text(f"127.0.0.1:{server.port}\n127.0.0.1:70000\n")
-    out_dir = tmp_path / "fps"
-    assert main(["scan", "--collection", str(tiny_fc), "--targets", str(targets),
-                 *FAST_SCAN, "-o", str(out_dir)]) == 2
-    assert "70000" in capsys.readouterr().err
-    assert main(["scan", "--collection", str(tiny_fc), "--host", "127.0.0.1",
-                 "--port", str(server.port), "--timeout", "0.1", "--drain-window", "0.2",
-                 "-o", str(tmp_path / "x.fp")]) == 2
-    assert "drain_window" in capsys.readouterr().err
-    assert server.connections == 0
-    assert not out_dir.exists()
-
-
-def test_scan_rejects_an_empty_host_before_connecting(tmp_path, tiny_fc, lab_factory, capsys):
-    server = lab_factory(constant_script("unused", 200))
-    targets = tmp_path / "targets.txt"
-    out_dir = tmp_path / "fps"
-    for line in (":21", "[]", "[]:21"):
-        targets.write_text(f"127.0.0.1:{server.port}\n{line}\n")
-        assert main(["scan", "--collection", str(tiny_fc), "--targets", str(targets),
-                     *FAST_SCAN, "-o", str(out_dir)]) == 2
-        assert capsys.readouterr().err == "usage error: target :21: host must not be empty\n"
-    # refused before the collection is read: an absent one is not what fails
-    assert main(["scan", "--collection", str(tmp_path / "absent.fc"), "--host", "",
-                 "--port", str(server.port), *FAST_SCAN, "-o", str(tmp_path / "x.fp")]) == 2
-    assert capsys.readouterr().err == (
-        f"usage error: target :{server.port}: host must not be empty\n")
-    assert server.connections == 0
-    assert not out_dir.exists() and not (tmp_path / "x.fp").exists()
-
-
-@pytest.mark.parametrize("sessions", ["0", "33", "many"])
-def test_scan_rejects_bad_session_count(tmp_path, tiny_fc, lab_factory, sessions):
-    server = lab_factory(constant_script("unused", 200))
-    try:
-        code = main(["scan", "--collection", str(tiny_fc), "--host", "127.0.0.1",
-                     "--port", str(server.port), "--sessions", sessions,
-                     "-o", str(tmp_path / "x.fp")])
-    except SystemExit as exc:  # argparse rejects what is not a positive integer
-        code = exc.code
-    assert code == 2
-    assert server.connections == 0
-
-
-@pytest.mark.parametrize("flags, named", [
-    (["--timeout", "nan"], "reply_timeout"), (["--timeout", "inf"], "reply_timeout"),
-    (["--timeout", "1e300"], "reply_timeout"), (["--drain-window", "nan"], "drain_window"),
-    (["--drain-window", "inf"], "drain_window"), (["--drain-window", "-0.1"], "drain_window"),
-    (["--delay", "nan"], "--delay"), (["--delay", "inf"], "--delay"),
-    (["--delay", "1e300"], "--delay"), (["--delay", "-1"], "--delay"),
-])
-def test_scan_refuses_timing_no_wait_can_take(tmp_path, tiny_fc, lab_factory, capsys,
-                                              flags, named):
-    # refused as usage errors before the collection is read: an absent
-    # collection file would otherwise fail first, with exit 1
-    server = lab_factory(constant_script("unused", 200))
-    for collection in (tmp_path / "absent.fc", tiny_fc):
-        try:
-            code = main(["scan", "--collection", str(collection), "--host", "127.0.0.1",
-                         "--port", str(server.port), *FAST_SCAN, *flags,
-                         "-o", str(tmp_path / "x.fp")])
-        except SystemExit as exc:  # argparse refuses --delay
-            code = exc.code
-        assert code == 2
-        assert named in capsys.readouterr().err
-    assert server.connections == 0
-    assert not (tmp_path / "x.fp").exists()
 
 
 def test_scan_one_session_gives_the_same_fingerprint(tmp_path, tiny_fc, lab_factory):
@@ -375,20 +240,6 @@ def test_scan_one_session_gives_the_same_fingerprint(tmp_path, tiny_fc, lab_fact
     assert server.connections == 2 * 2  # two command blocks, two scans
 
 
-def test_scan_rejects_label_with_targets_before_connecting(tmp_path, tiny_fc,
-                                                           lab_factory, capsys):
-    servers = [lab_factory(constant_script(name, 200)) for name in ("one", "two")]
-    targets = tmp_path / "targets.txt"
-    targets.write_text("".join(f"127.0.0.1:{s.port}\n" for s in servers))
-    out_dir = tmp_path / "fps"
-    code = main(["scan", "--collection", str(tiny_fc), "--targets", str(targets),
-                 "--label", "same", *FAST_SCAN, "-o", str(out_dir)])
-    assert code == 2
-    assert "--targets" in capsys.readouterr().err
-    assert [s.connections for s in servers] == [0, 0]
-    assert not out_dir.exists()
-
-
 def test_scan_multiple_targets(tmp_path, tiny_fc, lab_factory):
     s1 = lab_factory(constant_script("one", 200))
     s2 = lab_factory(constant_script("two", 500))
@@ -400,40 +251,6 @@ def test_scan_multiple_targets(tmp_path, tiny_fc, lab_factory):
     assert code == 0
     files = sorted(p.name for p in out_dir.glob("*.fp"))
     assert files == [f"127.0.0.1_{p}.fp" for p in sorted((s1.port, s2.port))]
-
-
-def test_scan_rejects_a_target_listed_twice_before_connecting(tmp_path, tiny_fc,
-                                                             lab_factory, capsys):
-    # 127.0.0.1 with --port is the same target as 127.0.0.1:<port>; the second
-    # scan would overwrite the first one's file
-    server = lab_factory(constant_script("twice", 200))
-    other = lab_factory(constant_script("once", 200))
-    targets = tmp_path / "targets.txt"
-    targets.write_text(f"127.0.0.1:{server.port}\n127.0.0.1:{other.port}\n127.0.0.1\n")
-    out_dir = tmp_path / "fps"
-    for collection in (tmp_path / "absent.fc", tiny_fc):
-        code = main(["scan", "--collection", str(collection), "--targets", str(targets),
-                     "--port", str(server.port), *FAST_SCAN, "-o", str(out_dir)])
-        assert code == 2
-        assert capsys.readouterr().err == (f"usage error: targets file lists "
-                                           f"127.0.0.1:{server.port} more than once\n")
-    assert [server.connections, other.connections] == [0, 0]
-    assert not out_dir.exists()
-
-
-def test_scan_rejects_an_ipv6_target_listed_twice_before_connecting(tmp_path, lab_factory,
-                                                                    capsys):
-    # no IPv6 scan is run: the lab server binds IPv4 only
-    server = lab_factory(constant_script("unused", 200))
-    targets = tmp_path / "targets.txt"
-    targets.write_text(f"127.0.0.1:{server.port}\n::1\n[::1]:21\n")
-    out_dir = tmp_path / "fps"
-    code = main(["scan", "--collection", str(tmp_path / "absent.fc"), "--targets", str(targets),
-                 "--port", "21", *FAST_SCAN, "-o", str(out_dir)])
-    assert code == 2
-    assert capsys.readouterr().err == "usage error: targets file lists [::1]:21 more than once\n"
-    assert server.connections == 0
-    assert not out_dir.exists()
 
 
 def test_scan_refuses_a_request_holding_a_line_break_before_connecting(tmp_path, tiny_fc,
@@ -451,6 +268,155 @@ def test_scan_refuses_a_request_holding_a_line_break_before_connecting(tmp_path,
         f"error: {tiny_fc}: line 9: request must not contain CR or LF\n")
     assert server.connections == 0
     assert not out.exists()
+
+
+# --- scan refusals: usage errors (exit 2) before the collection is read -----------
+
+@pytest.fixture
+def unused_server(lab_factory):
+    return lab_factory(constant_script("unused", 200))
+
+
+@pytest.fixture
+def refused(tmp_path, tiny_fc, unused_server, capsys):
+    """Check that a scan with `flags` is refused, once with the collection
+    absent and once with it present: exit 2 with exactly `stderr` (the last
+    line of an argparse refusal), no connection made and nothing written.  A
+    `targets` text is written to targets.txt, which `--targets` names."""
+    targets_file, out = tmp_path / "targets.txt", tmp_path / "out"
+
+    def check(flags: list[str], stderr: str, targets: str | None = None) -> None:
+        if targets is not None:
+            targets_file.write_bytes(targets.encode())
+            flags = [*flags, "--targets", str(targets_file)]
+        for collection in (tmp_path / "absent.fc", tiny_fc):
+            try:
+                code = main(["scan", "--collection", str(collection), *FAST_SCAN, *flags,
+                             "-o", str(out)])
+            except SystemExit as exc:  # argparse's refusal
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code == 2
+            assert (err.splitlines()[-1] + "\n" if err.startswith("usage: ") else err) == stderr
+        assert unused_server.connections == 0
+        assert not out.exists()
+    return check
+
+
+def test_scan_requires_host_or_targets(refused):
+    refused([], "usage error: --host is required unless --targets is given\n")
+
+
+@pytest.mark.parametrize("label", ["two\nlines", "cr\rhere", "caf\u00e9"])
+def test_scan_rejects_unwritable_label_before_connecting(refused, unused_server, label):
+    refused(["--host", "127.0.0.1", "--port", str(unused_server.port), "--label", label],
+            f"usage error: label must be ASCII without CR or LF: {label!r}\n")
+
+
+def test_scan_rejects_label_with_targets_before_connecting(refused, unused_server):
+    refused(["--label", "same"], "usage error: --label cannot be combined with --targets: "
+                                 "every fingerprint would carry the same label\n",
+            targets=f"127.0.0.1:{unused_server.port}\nlocalhost:{unused_server.port}\n")
+
+
+def test_scan_rejects_non_ascii_targets_file_before_connecting(refused, unused_server, tmp_path):
+    targets = tmp_path / "targets.txt"
+    refused([], f"usage error: line 2: non-ASCII byte in targets file {targets}\n",
+            targets=f"127.0.0.1:{unused_server.port}\nh\u00f6st:21\n")
+
+
+@pytest.mark.parametrize("host", ["m\u00fcller.example", "two words", "tab\there", "del\x7f"])
+def test_scan_refuses_a_host_that_is_not_printable_ascii(refused, unused_server, host):
+    # an international name resolves through IDNA, but the fingerprint's
+    # `#target` line is ASCII: the scan would fail only when it is written
+    rule = ("host must be printable ASCII without spaces: give an international name "
+            "in its IDNA (xn--) form\n")
+    refused(["--host", host, "--port", str(unused_server.port)],
+            f"usage error: target {host}:{unused_server.port}: {rule}")
+    if host.isascii():  # a targets file is ASCII, and a line holds all of its host
+        refused([], f"usage error: target {host}:21: {rule}",
+                targets=f"127.0.0.1:{unused_server.port}\n{host}\n")
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--user", "a\nb", "username"),
+    ("--user", "\u540d", "username"),
+    ("--pass", "x\ry", "password"),
+    ("--pass", "\u540d", "password"),
+])
+def test_scan_rejects_unsendable_credentials_before_connecting(refused, unused_server,
+                                                               flag, value, field):
+    # the login sends them in one latin-1 request line
+    port = unused_server.port
+    stderr = (f"usage error: target 127.0.0.1:{port}: {field} must be latin-1 text "
+              "without CR or LF\n")
+    refused(["--host", "127.0.0.1", "--port", str(port), flag, value], stderr)
+    refused([flag, value], stderr, targets=f"127.0.0.1:{port}\n")
+
+
+def test_target_usage_error_brackets_an_ipv6_host(refused):
+    refused(["--host", "::1", "--timeout", "0.1", "--drain-window", "0.2"],
+            "usage error: target [::1]:21: drain_window must be smaller than reply_timeout\n")
+
+
+def test_scan_rejects_bad_target_before_connecting(refused, unused_server):
+    port = unused_server.port
+    refused([], "usage error: target 127.0.0.1:70000: port must be in 1..65535\n",
+            targets=f"127.0.0.1:{port}\n127.0.0.1:70000\n")
+    refused(["--host", "127.0.0.1", "--port", str(port), "--timeout", "0.1",
+             "--drain-window", "0.2"],
+            f"usage error: target 127.0.0.1:{port}: drain_window must be smaller than "
+            "reply_timeout\n")
+
+
+def test_scan_rejects_an_empty_host_before_connecting(refused, unused_server):
+    port = unused_server.port
+    for line in (":21", "[]", "[]:21"):
+        refused([], "usage error: target :21: host must not be empty\n",
+                targets=f"127.0.0.1:{port}\n{line}\n")
+    refused(["--host", "", "--port", str(port)],
+            f"usage error: target :{port}: host must not be empty\n")
+
+
+@pytest.mark.parametrize("sessions", ["0", "33", "many"])
+def test_scan_rejects_bad_session_count(refused, unused_server, sessions):
+    port = unused_server.port
+    stderr = {
+        "0": "fingerfuzz scan: error: argument --sessions: must be >= 1\n",
+        "33": f"usage error: target 127.0.0.1:{port}: sessions must be in 1..32\n",
+        "many": "fingerfuzz scan: error: argument --sessions: not an integer: 'many'\n",
+    }[sessions]
+    refused(["--host", "127.0.0.1", "--port", str(port), "--sessions", sessions], stderr)
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--timeout", "nan"], "reply_timeout"), (["--timeout", "inf"], "reply_timeout"),
+    (["--timeout", "1e300"], "reply_timeout"), (["--drain-window", "nan"], "drain_window"),
+    (["--drain-window", "inf"], "drain_window"), (["--drain-window", "-0.1"], "drain_window"),
+    (["--delay", "nan"], "delay"), (["--delay", "inf"], "delay"),
+    (["--delay", "1e300"], "delay"), (["--delay", "-1"], "delay"),
+])
+def test_scan_refuses_timing_no_wait_can_take(refused, unused_server, flags, named):
+    # no socket or thread waits longer than TIMEOUT_MAX; only the delay may be 0
+    low = "[0" if named == "delay" else "(0"
+    refused(["--host", "127.0.0.1", "--port", str(unused_server.port), *flags],
+            f"usage error: target 127.0.0.1:{unused_server.port}: {named} must be a "
+            f"number of seconds in {low}, {threading.TIMEOUT_MAX:.0f}]\n")
+
+
+def test_scan_rejects_a_target_listed_twice_before_connecting(refused, unused_server):
+    # 127.0.0.1 with --port is the same target as 127.0.0.1:<port>; the second
+    # scan would overwrite the first one's file
+    port = unused_server.port
+    refused(["--port", str(port)],
+            f"usage error: targets file lists 127.0.0.1:{port} more than once\n",
+            targets=f"127.0.0.1:{port}\nlocalhost:{port}\n127.0.0.1\n")
+
+
+def test_scan_rejects_an_ipv6_target_listed_twice_before_connecting(refused, unused_server):
+    # no IPv6 scan is run: the lab server binds IPv4 only
+    refused(["--port", "21"], "usage error: targets file lists [::1]:21 more than once\n",
+            targets=f"127.0.0.1:{unused_server.port}\n::1\n[::1]:21\n")
 
 
 # --- match ----------------------------------------------------------------------

@@ -156,8 +156,21 @@ def test_digest_mismatch_is_incomparable():
 
 
 def test_length_mismatch_is_incomparable():
-    with pytest.raises(IncomparableError):
+    with pytest.raises(IncomparableError, match=r"^vector lengths differ: 1 vs 2$"):
         match_pair(make_fp(["200"]), make_fp(["200", "200"]))
+
+
+def test_match_pair_is_labelled_after_the_candidate():
+    a = make_fp(["200", "500"], label="probe")
+    assert match_pair(a, make_fp(["200", "200"], label="cand")) == MatchResult("cand", 1, 2)
+    assert match_pair(a, make_fp(["500", "500"], label=None)) == MatchResult("lab:21", 1, 2)
+
+
+def test_match_pair_refuses_a_candidate_no_database_holds():
+    with pytest.raises(DatabaseError, match="entries hold no observations"):
+        match_pair(make_fp(["200"]), make_fp([]))
+    with pytest.raises(DatabaseError, match="entry 'fp' holds 'WAT', no observation token"):
+        match_pair(make_fp(["200"]), replace(make_fp(["200"]), observations=("WAT",)))
 
 
 # --- database and ranking ---------------------------------------------------

@@ -124,7 +124,7 @@ def test_inter_request_delay(lab_factory):
     collection = tiny_collection(commands=("NOOP",), max_arg_len=0, mutations=1)
     server = lab_factory(constant_script())
     start = time.monotonic()
-    fp = fingerprint_target(collection, fast_target(server.port), delay=0.05)
+    fp = fingerprint_target(collection, fast_target(server.port, delay=0.05))
     elapsed = time.monotonic() - start
     assert len(fp.observations) == 2
     assert elapsed >= 0.1  # two requests, 50 ms spacing each
@@ -330,6 +330,19 @@ def test_fingerprint_round_trip_without_label():
 def test_write_fingerprint_rejects_unreadable_label(label):
     with pytest.raises(ValueError, match="label"):
         serialize(sample_fingerprint(label=label))
+
+
+@pytest.mark.parametrize("target", ["t\n#label x", "cr\rhere", "caf\u00e9"])
+def test_write_fingerprint_rejects_unreadable_target(target):
+    # "t\n#label x" would read back with the label "x"
+    with pytest.raises(ValueError, match="target must be ASCII without CR or LF"):
+        serialize(sample_fingerprint(target=target))
+
+
+@pytest.mark.parametrize("digest", ["abc", "AB" * 32, "ab" * 33, ""])
+def test_write_fingerprint_rejects_unreadable_digest(digest):
+    with pytest.raises(ValueError, match="collection digest"):
+        serialize(sample_fingerprint(collection_digest=digest))
 
 
 def test_fingerprint_save_load(tmp_path):

@@ -191,6 +191,16 @@ def test_target_defaults():
         dict(connect_timeout=math.nan),
         dict(connect_timeout=1e300),
         dict(host=""),
+        # a delay may be 0, but no thread waits NaN seconds or longer than TIMEOUT_MAX
+        dict(delay=math.nan),
+        dict(delay=math.inf),
+        dict(delay=1e300),
+        dict(delay=-1),
+        # the fingerprint's `#target` line is ASCII, and no host name holds a space
+        dict(host="m\u00fcller.example"),
+        dict(host="two words"),
+        dict(host="tab\there"),
+        dict(host="nul\x00"),
     ],
 )
 def test_target_validation(kwargs):
@@ -200,8 +210,10 @@ def test_target_validation(kwargs):
 
 def test_target_takes_the_longest_wait():
     target = TargetSpec("h", reply_timeout=threading.TIMEOUT_MAX,
-                        connect_timeout=threading.TIMEOUT_MAX)
+                        connect_timeout=threading.TIMEOUT_MAX, delay=threading.TIMEOUT_MAX)
     assert target.reply_timeout == threading.TIMEOUT_MAX
+    assert target.delay == threading.TIMEOUT_MAX
+    assert TargetSpec("xn--mller-kva.example").delay == 0
 
 
 # --- live sessions against the lab responder ------------------------------------
