@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import random
 import socket
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -351,6 +353,68 @@ def test_two_concurrent_connections(lab_factory):
     assert read_line(b) == b"331 ok\r\n"
     a.close()
     b.close()
+
+
+ORDER_SCRIPT = "name order\nrule NOOP ANY REPLY:200:ok\nrule SYST ANY REPLY:215:unix\ndefault 502 no\n"
+
+
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r\r\n"])
+@pytest.mark.parametrize("split", ["byte by byte", "one send", "line by line"])
+def test_requests_are_answered_in_order_however_they_arrive(lab_factory, line_end, split):
+    server = lab_factory(load_script(ORDER_SCRIPT))
+    sock = raw_session(server.port)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    assert read_line(sock) == b"220 service ready\r\n"
+    lines = [b"USER u", b"PASS p", b"NOOP", b"HELP", b"SYST x", b"NOOP"]
+    data = b"".join(line + line_end for line in lines)
+    pieces = {"byte by byte": [data[i:i + 1] for i in range(len(data))],
+              "one send": [data],
+              "line by line": [line + line_end for line in lines]}[split]
+    for piece in pieces:
+        sock.sendall(piece)
+    replies = [read_line(sock) for _ in lines]
+    assert replies == [b"331 ok\r\n", b"230 ok\r\n", b"200 ok\r\n", b"502 no\r\n",
+                       b"215 unix\r\n", b"200 ok\r\n"]
+    sock.close()
+
+
+def test_a_last_line_without_line_feed_is_no_request(lab_factory):
+    server = lab_factory(load_script(ORDER_SCRIPT))
+    sock = raw_session(server.port)
+    read_line(sock)
+    sock.sendall(b"USER u\r\nNOOP")
+    sock.shutdown(socket.SHUT_WR)
+    assert read_line(sock) == b"331 ok\r\n"
+    assert sock.recv(100) == b""  # the server closed without answering NOOP
+    sock.close()
+    server.stop()
+    assert server.actions == Counter({"login USER 331": 1})
+    assert server.connections == 1
+
+
+def test_stop_ends_an_idle_and_a_waiting_connection_at_once(lab_factory, caplog):
+    caplog.set_level(logging.DEBUG, logger="fingerfuzz.labserver")
+    server = lab_factory(load_script("name slow\nrule SYST ANY DELAY:10000:215:late\n"
+                                     "default 502 no\n"))
+    idle, waiting = raw_session(server.port), raw_session(server.port)
+    for sock in (idle, waiting):
+        read_line(sock)
+        sock.sendall(b"USER u\r\nPASS p\r\n")
+        assert read_line(sock) == b"331 ok\r\n"
+        assert read_line(sock) == b"230 ok\r\n"
+    waiting.sendall(b"SYST\r\n")
+    # the server logs a request after counting it and before its wait
+    deadline = time.monotonic() + 5
+    while not any(r.getMessage() == "slow b'SYST' -> DELAY" for r in caplog.records):
+        assert time.monotonic() < deadline, "the server never read SYST"
+        time.sleep(0.01)
+    start = time.monotonic()
+    server.stop()
+    assert time.monotonic() - start < 1
+    assert server.actions == Counter({"login USER 331": 2, "login PASS 230": 2, "DELAY": 1})
+    for sock in (idle, waiting):
+        assert sock.recv(100) == b""  # closed, and the late reply never sent
+        sock.close()
 
 
 def test_port_in_use_raises():
