@@ -31,6 +31,9 @@ _RULE_COMMAND_RE = re.compile(r"^([A-Z]{3,8}|\*)$")
 # seconds a connection may stay silent before the server closes it
 IDLE_TIMEOUT = 60.0
 
+# the longest DELAY a rule may ask for
+MAX_DELAY_MS = int(threading.TIMEOUT_MAX * 1000)
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -82,6 +85,8 @@ def _parse_action(action: str) -> tuple[str, bytes | None, float]:
     if kind == "DELAY":
         ms, _, payload = payload.partition(":")
         delay_ms = _parse_count(ms, f"DELAY milliseconds in {action!r}")
+        if delay_ms > MAX_DELAY_MS:  # a thread's wait refuses a longer timeout
+            raise ValueError(f"DELAY milliseconds in {action!r} must be at most {MAX_DELAY_MS}")
     elif kind not in ("REPLY", "MULTI"):
         raise ValueError(f"unknown action {action!r}")
     code, _, text = payload.partition(":")
@@ -206,16 +211,9 @@ class LabServer:
         self._open: dict[socket.socket, threading.Thread] = {}
 
     def start(self) -> "LabServer":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.host, self.port))
-            listener.listen(16)
-        except OSError:
-            listener.close()
-            raise
-        self._listener = listener
-        self.port = listener.getsockname()[1]
+        # on POSIX this sets SO_REUSEADDR, and a failed bind closes the socket
+        self._listener = socket.create_server((self.host, self.port), backlog=16)
+        self.port = self._listener.getsockname()[1]
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"lab-{self.script.name}", daemon=True
         )
@@ -225,14 +223,9 @@ class LabServer:
     def stop(self) -> None:
         self._stopping.set()
         if self._listener is not None:
-            try:  # on Linux this wakes the blocked accept at once
+            with contextlib.suppress(OSError):  # on Linux this wakes the blocked accept at once
                 self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
-            self._accept_thread = None
-        if self._listener is not None:
             self._listener.close()
             self._listener = None
         with self._lock:
@@ -242,12 +235,6 @@ class LabServer:
                 conn.shutdown(socket.SHUT_RDWR)
             handler.join(timeout=5)
 
-    def __enter__(self) -> "LabServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
     def _accept_loop(self) -> None:
         while not self._stopping.is_set():
             try:
@@ -255,47 +242,38 @@ class LabServer:
             except OSError:
                 return
             self.connections += 1
-            handler = threading.Thread(target=self._handle, args=(conn,), daemon=True)
+            handler = threading.Thread(target=self._serve, args=(conn,), daemon=True)
             with self._lock:
                 self._open[conn] = handler
             handler.start()
 
-    def _handle(self, conn: socket.socket) -> None:
+    def _serve(self, conn: socket.socket) -> None:
+        session = LabSession(self.script)
         counts: Counter[str] = Counter()
         try:
-            self._serve(conn, counts)
+            # any OSError, the idle timeout too, ends the connection
+            with conn, conn.makefile("rb") as lines, contextlib.suppress(OSError):
+                conn.settimeout(IDLE_TIMEOUT)
+                conn.sendall(session.greeting)
+                for line in lines:
+                    # a last line with no LF before the end is no request
+                    if not line.endswith(b"\n") or self._stopping.is_set():
+                        return
+                    line = line[:-1].rstrip(b"\r")
+                    action, payload, delay = session.respond(line)
+                    counts[action] += 1
+                    log.debug("%s %r -> %s", self.script.name, line, action)
+                    if action == "DROP":
+                        return
+                    if payload is None:
+                        continue
+                    if delay and self._stopping.wait(delay):
+                        return
+                    conn.sendall(payload)
         finally:
             with self._lock:
                 self.actions.update(counts)
                 del self._open[conn]
-
-    def _serve(self, conn: socket.socket, counts: Counter) -> None:
-        session = LabSession(self.script)
-        # any OSError, the idle timeout too, ends the connection
-        with conn, contextlib.suppress(OSError):
-            conn.settimeout(IDLE_TIMEOUT)
-            conn.sendall(session.greeting)
-            buffer = bytearray()
-            while not self._stopping.is_set():
-                newline = buffer.find(b"\n")
-                if newline < 0:
-                    chunk = conn.recv(4096)
-                    if not chunk:
-                        return
-                    buffer.extend(chunk)
-                    continue
-                line = bytes(buffer[:newline]).rstrip(b"\r")
-                del buffer[: newline + 1]
-                action, payload, delay = session.respond(line)
-                counts[action] += 1
-                log.debug("%s %r -> %s", self.script.name, line, action)
-                if action == "DROP":
-                    return
-                if payload is None:
-                    continue
-                if delay and self._stopping.wait(delay):
-                    return
-                conn.sendall(payload)
 
 
 # Script file grammar, ASCII only, one directive per line; `#` opens a

@@ -5,6 +5,7 @@ import logging
 import os
 import random
 import socket
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from fingerfuzz.errors import ParseError
 from fingerfuzz.fuzzgen import build_collection
 from fingerfuzz.labserver import (
+    MAX_DELAY_MS,
     LabServer,
     LabSession,
     Rule,
@@ -90,6 +92,8 @@ def test_script_round_trip():
         ("name a\nrule SYST ANY DELAY:soon:215:x\ndefault 502 y\n", "DELAY"),
         ("name a\nrule SYST ANY DELAY:-5:215:x\ndefault 502 y\n", "DELAY"),
         ("name a\nrule SYST ANY DELAY:100:915:x\ndefault 502 y\n", "915"),
+        ("name a\nrule NOOP ANY DELAY:99999999999999:200:late\ndefault 502 y\n",
+         f"line 2: DELAY milliseconds .* must be at most {MAX_DELAY_MS}"),
         ("name a\nname b\ndefault 502 y\n", "line 2: duplicate name"),
         ("name a\ngreeting 220 x\ngreeting 421 busy\ndefault 502 y\n",
          "line 3: duplicate greeting"),
@@ -138,6 +142,14 @@ def test_delay_rule_grammar():
     assert apply_rules(script, b"SYST") == ("DELAY", b"215 UNIX: late\r\n")
     with pytest.raises(ValueError, match="DELAY"):
         Rule("SYST", "ANY", "DELAY:-1:215:x")
+
+
+def test_the_longest_delay_is_the_longest_thread_wait():
+    # Event.wait raises OverflowError beyond TIMEOUT_MAX, which killed the connection
+    script = load_script(f"name d\nrule SYST ANY DELAY:{MAX_DELAY_MS}:215:late\ndefault 502 no\n")
+    assert script.rules[0].response == ("DELAY", b"215 late\r\n", threading.TIMEOUT_MAX)
+    with pytest.raises(ValueError, match=f"at most {MAX_DELAY_MS}"):
+        Rule("SYST", "ANY", f"DELAY:{MAX_DELAY_MS + 1}:215:late")
 
 
 # --- rule evaluation ----------------------------------------------------------
@@ -355,7 +367,12 @@ def test_two_concurrent_connections(lab_factory):
     b.close()
 
 
-ORDER_SCRIPT = "name order\nrule NOOP ANY REPLY:200:ok\nrule SYST ANY REPLY:215:unix\ndefault 502 no\n"
+ORDER_SCRIPT = """\
+name order
+rule NOOP ANY REPLY:200:ok
+rule SYST ANY REPLY:215:unix
+default 502 no
+"""
 
 
 @pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r\r\n"])
