@@ -222,6 +222,15 @@ def _scan_one(collection, args, target: wire.TargetSpec, output: str) -> int:
     return 0
 
 
+def _check_output_file(path: str) -> None:
+    """Refuse an output file that could not be written when the scan ends."""
+    output = Path(path)
+    if output.is_dir():
+        raise UsageError(f"-o {path} is a directory")
+    if not output.parent.is_dir():
+        raise UsageError(f"-o {path}: {output.parent} is not a directory")
+
+
 def _parse_host_port(text: str, default_port: int) -> tuple[str, int]:
     """`host`, `host:port`, `[address]` or `[address]:port`; an address with
     more than one colon and no brackets is an IPv6 host on the default port."""
@@ -254,6 +263,7 @@ def cmd_scan(args) -> int:
         if args.host is None:
             raise UsageError("--host is required unless --targets is given")
         target = _target(args, args.host, args.port)
+        _check_output_file(args.output)
         return _scan_one(fuzzgen.load_collection(args.collection), args, target,
                          args.output)
 

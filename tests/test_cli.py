@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -282,13 +283,17 @@ def refused(tmp_path, tiny_fc, unused_server, capsys):
     """Check that a scan with `flags` is refused, once with the collection
     absent and once with it present: exit 2 with exactly `stderr` (the last
     line of an argparse refusal), no connection made and nothing written.  A
-    `targets` text is written to targets.txt, which `--targets` names."""
-    targets_file, out = tmp_path / "targets.txt", tmp_path / "out"
+    `targets` text is written to targets.txt, which `--targets` names; `-o`
+    names `output`, or tmp_path/out."""
+    targets_file = tmp_path / "targets.txt"
 
-    def check(flags: list[str], stderr: str, targets: str | None = None) -> None:
+    def check(flags: list[str], stderr: str, targets: str | None = None,
+              output: Path | None = None) -> None:
+        out = tmp_path / "out" if output is None else output
         if targets is not None:
             targets_file.write_bytes(targets.encode())
             flags = [*flags, "--targets", str(targets_file)]
+        files = set(tmp_path.rglob("*"))
         for collection in (tmp_path / "absent.fc", tiny_fc):
             try:
                 code = main(["scan", "--collection", str(collection), *FAST_SCAN, *flags,
@@ -299,7 +304,7 @@ def refused(tmp_path, tiny_fc, unused_server, capsys):
             assert code == 2
             assert (err.splitlines()[-1] + "\n" if err.startswith("usage: ") else err) == stderr
         assert unused_server.connections == 0
-        assert not out.exists()
+        assert set(tmp_path.rglob("*")) == files
     return check
 
 
@@ -352,6 +357,16 @@ def test_scan_rejects_unsendable_credentials_before_connecting(refused, unused_s
               "without CR or LF\n")
     refused(["--host", "127.0.0.1", "--port", str(port), flag, value], stderr)
     refused([flag, value], stderr, targets=f"127.0.0.1:{port}\n")
+
+
+def test_scan_refuses_an_output_it_could_not_write_before_connecting(refused, unused_server,
+                                                                     tmp_path):
+    host = ["--host", "127.0.0.1", "--port", str(unused_server.port)]
+    taken, missing = tmp_path / "taken", tmp_path / "missing" / "scan.fp"
+    taken.mkdir()
+    refused(host, f"usage error: -o {taken} is a directory\n", output=taken)
+    refused(host, f"usage error: -o {missing}: {missing.parent} is not a directory\n",
+            output=missing)
 
 
 def test_target_usage_error_brackets_an_ipv6_host(refused):
@@ -685,6 +700,8 @@ def test_lab_bad_script_exits_2(tmp_path, capsys):
     for text, error in [
         (b"name x\ndefault 999 zz\n", "line 2: code 999"),
         (b"default 502 no\nname caf\xe9\n", "line 2: non-ASCII byte"),
+        (b"name x\nrule NOOP ANY DELAY:99999999999999:200:late\ndefault 502 no\n",
+         "line 2: DELAY milliseconds in 'DELAY:99999999999999:200:late' must be at most"),
     ]:
         script.write_bytes(text)
         assert main(["lab", "--script", str(script)]) == 2
