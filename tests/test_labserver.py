@@ -145,7 +145,7 @@ def test_delay_rule_grammar():
 
 
 def test_the_longest_delay_is_the_longest_thread_wait():
-    # Event.wait raises OverflowError beyond TIMEOUT_MAX, which killed the connection
+    # the server waits out a DELAY with Event.wait, which refuses more than TIMEOUT_MAX
     script = load_script(f"name d\nrule SYST ANY DELAY:{MAX_DELAY_MS}:215:late\ndefault 502 no\n")
     assert script.rules[0].response == ("DELAY", b"215 late\r\n", threading.TIMEOUT_MAX)
     with pytest.raises(ValueError, match=f"at most {MAX_DELAY_MS}"):
