@@ -254,6 +254,25 @@ def test_scan_multiple_targets(tmp_path, tiny_fc, lab_factory):
     assert files == [f"127.0.0.1_{p}.fp" for p in sorted((s1.port, s2.port))]
 
 
+def test_scan_multiple_targets_reports_a_refused_login(tmp_path, tiny_fc, lab_factory,
+                                                       capsys):
+    good = lab_factory(constant_script("good", 200))
+    locked = lab_factory(ServerScript(name="locked", user_code=530))
+    targets = tmp_path / "targets.txt"
+    targets.write_text(f"127.0.0.1:{locked.port}\n127.0.0.1:{good.port}\n")
+    out_dir = tmp_path / "fps"
+    code = main(["scan", "--collection", str(tiny_fc), "--targets", str(targets),
+                 *FAST_SCAN, "-o", str(out_dir)])
+    assert code == 1
+    written = out_dir / f"127.0.0.1_{good.port}.fp"
+    out, err = capsys.readouterr()
+    assert out == f"wrote {written}: 8 observations [200x8]\n"
+    locked_name = f"127.0.0.1:{locked.port}"
+    assert err == (f"error: {locked_name}: {locked_name} refused login (530); "
+                   "unauthenticated servers are indistinguishable\n")
+    assert list(out_dir.iterdir()) == [written]
+
+
 def test_scan_refuses_a_request_holding_a_line_break_before_connecting(tmp_path, tiny_fc,
                                                                        lab_factory, capsys):
     server = lab_factory(constant_script("unused", 200))
@@ -367,6 +386,11 @@ def test_scan_refuses_an_output_it_could_not_write_before_connecting(refused, un
     refused(host, f"usage error: -o {taken} is a directory\n", output=taken)
     refused(host, f"usage error: -o {missing}: {missing.parent} is not a directory\n",
             output=missing)
+
+
+def test_scan_refuses_a_targets_file_without_hosts(refused):
+    refused([], "usage error: targets file lists no hosts\n",
+            targets="# no hosts yet\n\n   \n# 127.0.0.1\n")
 
 
 def test_target_usage_error_brackets_an_ipv6_host(refused):

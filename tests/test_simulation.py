@@ -13,8 +13,8 @@ the reply to request i?
 - A reply at or after the reply timeout, or none: TMO, the session closes
   and the rest of the run goes out on a fresh login, so yes.
 - A reply cut off by the reply timeout: GBL, then a fresh login, so yes.
-- A reset or end of the connection before the reply: DRP, then a fresh
-  login, so yes.  During the drain: the reply is kept, then a fresh login.
+- A reset or end of the connection before the reply, or a send the peer
+  resets: DRP, then a fresh login, so yes.  During the drain: the reply is kept, then a fresh login.
 - A stray line inside the drain window: discarded, so yes.
 - A stray line after the window: no.  It is read as the next reply if that
   has not come first, as when the next request gets no reply (SILENCE).
@@ -252,6 +252,23 @@ def test_fault_instead_of_a_reply_gets_a_fresh_login(simulate, split, fault, tok
     assert net.connections == RUNS + 1 and net.sent_once(COLLECTION)
 
 
+@pytest.mark.parametrize("sessions", (1, 4))
+def test_send_reset_by_the_peer_reads_drp(simulate, sessions):
+    # the chosen request never reaches the peer; the rest of its run goes
+    # out on a fresh login
+    def resets_chosen(line):
+        if line == CHOSEN.bytes:
+            raise ConnectionResetError("connection reset (simulated)")
+    net = simulate(raw_peer(counted), on_send=resets_chosen)
+    fp = fingerprint_target(COLLECTION, sim_target(sessions))
+    expected = codes(COLLECTION, fresh={CHOSEN.index + 1})
+    expected[CHOSEN.index] = DRP
+    assert list(fp.observations) == expected
+    assert net.connections == RUNS + 1
+    assert Counter(net.requests) == Counter(r.bytes for r in COLLECTION.records
+                                            if r is not CHOSEN)
+
+
 @pytest.mark.parametrize("split", (False, True), ids=("whole", "split"))
 @pytest.mark.parametrize("end", (RESET, EOF))
 def test_end_during_the_drain_keeps_the_reply(simulate, split, end):
@@ -481,10 +498,13 @@ def test_refused_reconnect_after_a_drop_hands_the_rest_back(simulate, caplog):
     assert net.connections == RUNS + 2 and net.refusals == 0
 
 
-def test_refusal_on_the_last_queued_run(simulate, caplog):
-    # the other session has sent everything else, closed its connection and
-    # waits on the empty queue while the last run is held; it must still
-    # take the handed-back rest instead of leaving
+@pytest.mark.parametrize("refusals", (1, RECONNECT_ATTEMPTS, RECONNECT_ATTEMPTS + 1))
+def test_refusal_on_the_last_queued_run(simulate, caplog, refusals):
+    # the other session has sent everything else and closed its connection
+    # when the last run's reconnect is refused: the handed-back rest must
+    # still go out.  The first refusal shrinks the pool to one session; each
+    # later one counts at the rest's first request, and the
+    # RECONNECT_ATTEMPTS-th count ends the scan
     last = COLLECTION.records[-2]
     assert [r.bytes for r in COLLECTION.records].count(last.bytes) == 1
 
@@ -499,17 +519,29 @@ def test_refusal_on_the_last_queued_run(simulate, caplog):
     def drops_last(n, line):
         if line != last.bytes:
             return counted(n, line)
-        net.refusals = 1
+        net.refusals = refusals
         return [(0.0, EOF)]
     net = simulate(raw_peer(drops_last), on_send=others_done)
     with caplog.at_level(logging.WARNING, logger="fingerfuzz.scanner"):
-        fp = fingerprint_target(COLLECTION, sim_target(2))
+        if refusals > RECONNECT_ATTEMPTS:
+            with pytest.raises(PartialScanError) as err:
+                fingerprint_target(COLLECTION, sim_target(2))
+        else:
+            fp = fingerprint_target(COLLECTION, sim_target(2))
+    assert shrinks(caplog) == [1]
+    assert net.refusals == 0
+    if refusals > RECONNECT_ATTEMPTS:
+        assert str(err.value) == (
+            f"request {last.index + 1} to 127.0.0.1:21 failed {RECONNECT_ATTEMPTS} times: "
+            "cannot connect to 127.0.0.1:21: connection refused (simulated)")
+        assert net.connections == RUNS + refusals
+        return
     expected = codes(COLLECTION, fresh={last.index + 1})
     expected[last.index] = DRP
     assert list(fp.observations) == expected
     assert net.sent_once(COLLECTION)
-    assert shrinks(caplog) == [1]
-    assert net.connections == RUNS + 2 and net.refusals == 0
+    # a login per run and for the rest after the drop, and the refused connects
+    assert net.connections == RUNS + 1 + refusals
 
 
 def test_refused_first_connection_names_target_and_greeting(simulate):
