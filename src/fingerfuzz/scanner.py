@@ -16,11 +16,11 @@ local send or receive failure.  The unsent rest of its run then goes back
 to the front of the queue as a run of its own, so that later positions
 stay aligned with their requests; so does a run whose fresh connect or
 login fails.  When the target refuses a fresh session while other
-sessions still work (servers cap connections per address), the refused
-one retires, so the pool shrinks to what the target admits and no request
-is sent twice.  A local send or receive failure, or the last session's
-refusal, counts at the run's first unsent request; the
-RECONNECT_ATTEMPTS-th failure at one request ends the scan.
+sessions still work (servers cap connections per address), the pool
+shrinks to the sessions the target admits, and no request is sent
+twice.  A local send or receive failure, or the last session's refusal,
+counts at the run's first unsent request; the RECONNECT_ATTEMPTS-th
+failure at one request ends the scan.
 """
 
 from __future__ import annotations
@@ -83,12 +83,11 @@ def fingerprint_target(collection: FuzzCollection, target: TargetSpec,
     session = wire.connect(target)
     try:
         user_reply, pass_reply = session.login()
-        observations = _SessionPool(
-            target, collection.records, session,
-            [(start, min(start + step, count)) for start in range(0, count, step)],
-        ).scan()
+        observations = _SessionPool(target, collection.records, [
+            (session if start == 0 else None, start, min(start + step, count))
+            for start in range(0, count, step)]).scan()
     finally:
-        session.close()
+        session.close()  # when no worker took it
     return Fingerprint(
         collection_digest=collection.digest,
         target=target.descriptor,
@@ -102,21 +101,25 @@ def fingerprint_target(collection: FuzzCollection, target: TargetSpec,
 class _SessionPool:
     """Workers that scan runs from one queue into one observation vector.
 
-    A worker leaves only when the queue is empty and no worker holds a
-    run, or once the scan is halted: a run held elsewhere may still be
-    handed back.
+    A run is (session or None, start, end): None logs in afresh.  No worker
+    waits for another.  A worker leaves once the queue is empty or the scan
+    is halted; one whose run ends early queues the rest first and takes it
+    next.  A refusal shrinks `_live`, the sessions the target admits, while
+    more than one is left, and the refused worker then leaves only if
+    `_looping > _live`; else it stands in for a worker that left.  So
+    `_looping <= _live`, and a worker leaves after a refusal only while
+    another still loops, which takes the rest before it can leave.
     """
 
     def __init__(self, target: TargetSpec, records: tuple[RequestRecord, ...],
-                 session: FtpSession, runs: list[tuple[int, int]]):
+                 runs: list[tuple[FtpSession | None, int, int]]):
         self.target = target
         self.records = records
         self.observations: list[ReplyObservation | None] = [None] * len(records)
-        self._spare: FtpSession | None = session  # logged in; serves the first run taken
         self._runs = deque(runs)
-        self._held = 0  # runs a worker is scanning
-        self._live = 0  # workers not retired
-        self._changed = threading.Condition()
+        self._live = 0  # sessions the target admits
+        self._looping = 0  # workers that have not left
+        self._lock = threading.Lock()
         self._halt = threading.Event()
         self._error: BaseException | None = None
         self._failures: Counter[int] = Counter()  # failures per index, by the run's holder
@@ -125,14 +128,14 @@ class _SessionPool:
         """Run the workers to the end; raise the first failure of any."""
         workers = [threading.Thread(target=self._work, name=f"fingerfuzz-scan-{n}")
                    for n in range(min(self.target.sessions, len(self._runs)))]
-        self._live = len(workers)
+        self._live = self._looping = len(workers)
         try:
             for worker in workers:
                 worker.start()
             for worker in workers:
                 worker.join()
         finally:
-            self._stop()  # also on Ctrl-C: no worker outlives the scan
+            self._halt.set()  # also on Ctrl-C: no worker outlives the scan
             for worker in workers:
                 if worker.ident is not None:
                     worker.join()
@@ -140,36 +143,28 @@ class _SessionPool:
             raise self._error
         return tuple(self.observations)
 
-    def _stop(self) -> None:
-        self._halt.set()
-        with self._changed:
-            self._changed.notify_all()
-
     def _work(self) -> None:
         try:
             while (taken := self._take()) is not None and self._scan_run(*taken):
                 pass
         except BaseException as exc:  # raised on the calling thread by scan()
-            with self._changed:
+            with self._lock:
                 if self._error is None:
                     self._error = exc
-            self._stop()
+            self._halt.set()
 
     def _take(self) -> tuple[FtpSession | None, int, int] | None:
-        """The next run and the session to start it on (None: log in first)."""
-        with self._changed:
-            while not self._runs and self._held and not self._halt.is_set():
-                self._changed.wait()
+        """The next run, or None once this worker leaves."""
+        with self._lock:
             if self._halt.is_set() or not self._runs:
+                self._looping -= 1
                 return None
-            self._held += 1
-            session, self._spare = self._spare, None
-            return (session, *self._runs.popleft())
+            return self._runs.popleft()
 
     def _scan_run(self, session: FtpSession | None, start: int, end: int) -> bool:
         """Send records[start:end] on one login, a fresh one if `session` is
         None, until the session dies, and queue the unsent rest; False once
-        this worker retires."""
+        this worker leaves."""
         index = start
         failure = None
         try:
@@ -191,14 +186,12 @@ class _SessionPool:
         return self._release(index, end, failure)
 
     def _release(self, index: int, end: int, failure: Exception | None) -> bool:
-        """End the held run and queue its unsent rest first.  A refused
-        session retires this worker while others still work; any other
-        failure counts at `index`.  False once this worker retires."""
-        with self._changed:
-            self._held -= 1
+        """End the run and queue its unsent rest first.  A refused session
+        shrinks the pool while others are admitted; any other failure counts
+        at `index`.  False once this worker leaves."""
+        with self._lock:
             if index < end:
-                self._runs.appendleft((index, end))
-            self._changed.notify_all()
+                self._runs.appendleft((None, index, end))
             if failure is None:
                 return True
             if not isinstance(failure, TransportError) and self._live > 1:
@@ -206,7 +199,10 @@ class _SessionPool:
                 # under the lock, so the counts are logged in order
                 log.warning("%s refused a new session; scanning on with %d: %s",
                             self.target.descriptor, self._live, failure)
-                return False
+                if self._looping > self._live:
+                    self._looping -= 1
+                    return False
+                return True
             self._failures[index] += 1
             if self._failures[index] == RECONNECT_ATTEMPTS:
                 raise PartialScanError(
