@@ -1,7 +1,8 @@
 """Command-line interface: generate, scan, match, optimize, lab.
 
 Exit codes: 0 success, 1 operational error (network, bad data), 2 usage
-error.  Output files are written atomically (temp file plus rename).
+error, 130 interrupted (Ctrl-C).  Output files are written atomically
+(temp file plus rename).
 """
 
 from __future__ import annotations
@@ -231,6 +232,15 @@ def _check_output_file(path: str) -> None:
         raise UsageError(f"-o {path}: {output.parent} is not a directory")
 
 
+def _check_output_dir(path: str) -> None:
+    """Refuse an output directory that could not be made when the scans end."""
+    output = Path(path)
+    existing = next(p for p in (output, *output.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"-o {path} is not a directory" if existing == output
+                         else f"-o {path}: {existing} is not a directory")
+
+
 def _parse_host_port(text: str, default_port: int) -> tuple[str, int]:
     """`host`, `host:port`, `[address]` or `[address]:port`; an address with
     more than one colon and no brackets is an IPv6 host on the default port."""
@@ -274,6 +284,7 @@ def cmd_scan(args) -> int:
     counts = Counter(target.descriptor for target in targets)  # host and port
     if twice := [name for name, n in counts.items() if n > 1]:
         raise UsageError(f"targets file lists {', '.join(twice)} more than once")
+    _check_output_dir(args.output)
     collection = fuzzgen.load_collection(args.collection)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -384,6 +395,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def run() -> None:

@@ -20,6 +20,7 @@ import socket
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import ParseError
 from .fileio import decode_ascii, load
@@ -290,11 +291,14 @@ class LabServer:
 def _parse_name(rest: str) -> tuple[str]:
     if not rest:
         raise ValueError("name needs a label")
+    if any(ch.isspace() for ch in rest):
+        raise ValueError("name: must be a single non-empty word")
     return (rest,)
 
 
-def _parse_code_text(rest: str) -> tuple[int, str]:
+def _parse_code_text(rest: str, where: str) -> tuple[int, str]:
     code, _, text = rest.partition(" ")
+    _check_text(text, where)
     return _check_code(code), text
 
 
@@ -309,9 +313,10 @@ def _parse_login(rest: str) -> tuple[int, int]:
 # ServerScript fields its values fill
 _SINGLE_DIRECTIVES = {
     "name": (_parse_name, ("name",)),
-    "greeting": (_parse_code_text, ("greeting_code", "greeting_text")),
+    "greeting": (partial(_parse_code_text, where="greeting"),
+                 ("greeting_code", "greeting_text")),
     "login": (_parse_login, ("user_code", "pass_code")),
-    "default": (_parse_code_text, ("default_code", "default_text")),
+    "default": (partial(_parse_code_text, where="default"), ("default_code", "default_text")),
 }
 
 

@@ -291,4 +291,8 @@ def connect(target: TargetSpec) -> FtpSession:
         )
     except OSError as exc:
         raise ConnectError(f"cannot connect to {target.descriptor}: {exc}") from exc
-    return FtpSession(target, sock)
+    try:
+        return FtpSession(target, sock)
+    except BaseException:  # Ctrl-C while the greeting is read
+        sock.close()
+        raise

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import _thread
 import hashlib
 import json
 import shutil
@@ -7,6 +8,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -273,6 +275,32 @@ def test_scan_multiple_targets_reports_a_refused_login(tmp_path, tiny_fc, lab_fa
     assert list(out_dir.iterdir()) == [written]
 
 
+def test_scan_interrupted_exits_130_and_writes_nothing(tmp_path, tiny_fc, lab_factory,
+                                                       capsys):
+    # every reply 50 ms late, so the scan is still running when the
+    # interrupt comes; it reaches the main thread as Ctrl-C does
+    server = lab_factory(ServerScript(name="slow", rules=(
+        Rule("*", "ANY", "DELAY:50:200:late"),)))
+
+    def interrupt_once_connected():
+        deadline = time.monotonic() + 5
+        while not server.connections and time.monotonic() < deadline:
+            time.sleep(0.001)
+        if server.connections:
+            _thread.interrupt_main()
+    interrupter = threading.Thread(target=interrupt_once_connected)
+    interrupter.start()
+    try:
+        code = main(["scan", "--collection", str(tiny_fc), "--host", "127.0.0.1",
+                     "--port", str(server.port), "--sessions", "1", *FAST_SCAN,
+                     "-o", str(tmp_path / "x.fp")])
+    finally:
+        interrupter.join()
+    assert code == 130
+    assert capsys.readouterr() == ("", "interrupted\n")
+    assert list(tmp_path.rglob("*")) == [tiny_fc]  # no .fp and no .tmp-*.part file
+
+
 def test_scan_refuses_a_request_holding_a_line_break_before_connecting(tmp_path, tiny_fc,
                                                                        lab_factory, capsys):
     server = lab_factory(constant_script("unused", 200))
@@ -386,6 +414,13 @@ def test_scan_refuses_an_output_it_could_not_write_before_connecting(refused, un
     refused(host, f"usage error: -o {taken} is a directory\n", output=taken)
     refused(host, f"usage error: -o {missing}: {missing.parent} is not a directory\n",
             output=missing)
+    # with --targets, -o names a directory to make
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    targets = f"127.0.0.1:{unused_server.port}\n"
+    refused([], f"usage error: -o {afile} is not a directory\n", targets=targets, output=afile)
+    refused([], f"usage error: -o {afile / 'sub'}: {afile} is not a directory\n",
+            targets=targets, output=afile / "sub")
 
 
 def test_scan_refuses_a_targets_file_without_hosts(refused):
@@ -726,6 +761,10 @@ def test_lab_bad_script_exits_2(tmp_path, capsys):
         (b"default 502 no\nname caf\xe9\n", "line 2: non-ASCII byte"),
         (b"name x\nrule NOOP ANY DELAY:99999999999999:200:late\ndefault 502 no\n",
          "line 2: DELAY milliseconds in 'DELAY:99999999999999:200:late' must be at most"),
+        (b"name two words\ndefault 502 no\n", "line 1: name: must be a single non-empty word"),
+        (b"name x\ngreeting 220 a\rb\ndefault 502 no\n",
+         "line 2: greeting: text must not contain line breaks"),
+        (b"name x\ndefault 502 a\rb\n", "line 2: default: text must not contain line breaks"),
     ]:
         script.write_bytes(text)
         assert main(["lab", "--script", str(script)]) == 2

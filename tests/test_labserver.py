@@ -99,6 +99,10 @@ def test_script_round_trip():
          "line 3: duplicate greeting"),
         ("name a\nlogin USER=331 PASS=230\ndefault 502 y\nlogin USER=230 PASS=230\n",
          "line 4: duplicate login"),
+        ("name two words\ndefault 502 y\n", "line 1: name: must be a single non-empty word"),
+        ("name a\ngreeting 220 a\rb\ndefault 502 y\n",
+         "line 2: greeting: text must not contain line breaks"),
+        ("name a\ndefault 502 a\rb\n", "line 2: default: text must not contain line breaks"),
     ],
 )
 def test_load_rejects_bad_scripts(text, fragment):
