@@ -14,7 +14,8 @@ the reply to request i?
   and the rest of the run goes out on a fresh login, so yes.
 - A reply cut off by the reply timeout: GBL, then a fresh login, so yes.
 - A reset or end of the connection before the reply, or a send the peer
-  resets: DRP, then a fresh login, so yes.  During the drain: the reply is kept, then a fresh login.
+  resets: DRP, then a fresh login, so yes.  During the drain: the reply
+  is kept, then a fresh login.
 - A stray line inside the drain window: discarded, so yes.
 - A stray line after the window: no.  It is read as the next reply if that
   has not come first, as when the next request gets no reply (SILENCE).
