@@ -41,8 +41,10 @@ each fault alone at one request; the session pool, where every run starts
 a fresh session, 32 sessions under fast thread switching with and without
 drops, a target that dies mid-run, targets that cap connections (4 and 32
 sessions), a refused reconnect after a drop and on the last queued run,
-refused reconnects until the scan ends, local send failures, a refused
-first connection and a greeting without a code (none, or garbage).
+a refused first connect followed by that, refused reconnects until the
+scan ends, local send failures, a failed scan that stops sending, a
+refused first connection and a greeting without a code (none, or
+garbage).
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from conftest import (
 )
 from simnet import (
     EOF,
+    LOGIN_LINES,
     RESET,
     codes,
     counted,
@@ -241,6 +244,7 @@ def test_stray_line_inside_the_drain_window_is_discarded(simulate, split, fracti
     ([(0.0, RESET)], DRP),
     ([(0.0, EOF)], DRP),
     ([(0.0, b"2"), (FAST_REPLY_TIMEOUT, b"22 late\r\n")], GBL),  # cut off by the timeout
+    ([(0.0, b"211-a\r\n")], GBL),  # cut off by the timeout at a line end
     ([], TMO),
 ])
 def test_fault_instead_of_a_reply_gets_a_fresh_login(simulate, split, fault, token):
@@ -251,6 +255,18 @@ def test_fault_instead_of_a_reply_gets_a_fresh_login(simulate, split, fault, tok
     expected[CHOSEN.index] = token
     assert list(fp.observations) == expected
     assert net.connections == RUNS + 1 and net.sent_once(COLLECTION)
+
+
+@pytest.mark.parametrize("split", (False, True), ids=("whole", "split"))
+def test_reply_opening_with_a_bare_lf_is_garbled_at_once(simulate, split):
+    # decided at the LF, so the reply after it is drained and the session
+    # stays open; waiting for more bytes would close it at the reply timeout
+    net = simulate(at_chosen(lambda writes: [(0.0, b"\n" + writes[0][1])]), split=split)
+    fp = fingerprint_target(COLLECTION, sim_target())
+    expected = codes(COLLECTION)
+    expected[CHOSEN.index] = GBL
+    assert list(fp.observations) == expected
+    assert net.connections == RUNS and net.sent_once(COLLECTION)
 
 
 @pytest.mark.parametrize("sessions", (1, 4))
@@ -543,6 +559,71 @@ def test_refusal_on_the_last_queued_run(simulate, caplog, refusals):
     assert net.sent_once(COLLECTION)
     # a login per run and for the rest after the drop, and the refused connects
     assert net.connections == RUNS + 1 + refusals
+
+
+def test_refused_first_connect_then_refused_reconnect_on_the_last_run(simulate, caplog):
+    # 3 sessions: one worker's first connect is refused, and it leaves.
+    # Later the reconnect after a drop in the last run is refused once the
+    # other worker has left, so the refused worker takes its own rest again
+    last = COLLECTION.records[-2]
+    assert [r.bytes for r in COLLECTION.records].count(last.bytes) == 1
+
+    def others_done(line):
+        if line == last.bytes:
+            deadline = time.monotonic() + 5
+            while ((len(net.requests) < last.index or net._open > 1)
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            time.sleep(0.01)  # for the other session to reach the queue
+
+    def drops_last(n, line):
+        if line != last.bytes:
+            return counted(n, line)
+        net.refusals = 1
+        return [(0.0, EOF)]
+    peer = raw_peer(drops_last)
+
+    def refuses_the_second_connect():
+        if net.connections == 1:
+            net.refusals = 1
+        return peer()
+    net = simulate(refuses_the_second_connect, on_send=others_done)
+    with caplog.at_level(logging.WARNING, logger="fingerfuzz.scanner"):
+        fp = fingerprint_target(COLLECTION, sim_target(3))
+    assert shrinks(caplog) == [2, 1]
+    expected = codes(COLLECTION, fresh={last.index + 1})
+    expected[last.index] = DRP
+    assert list(fp.observations) == expected
+    assert net.sent_once(COLLECTION)
+    # a login per run and for the rest after the drop, and the two refused connects
+    assert net.connections == RUNS + 3 and net.refusals == 0
+
+
+def test_a_failed_scan_stops_sending(simulate):
+    # the chosen request fails locally RECONNECT_ATTEMPTS times.  The other
+    # session holds its first request until the worker of the last failure
+    # has ended; it sends that one request and no other
+    failed_in = []  # the worker thread of each failure
+    chosen_run = {r.bytes for r in COLLECTION.records[STEP:2 * STEP]}
+
+    def on_send(line):
+        if line == CHOSEN.bytes and len(failed_in) < RECONNECT_ATTEMPTS:
+            failed_in.append(threading.current_thread())
+            raise OSError("injected")
+        if line in LOGIN_LINES or line in chosen_run:
+            return
+        deadline = time.monotonic() + 5
+        while len(failed_in) < RECONNECT_ATTEMPTS and time.monotonic() < deadline:
+            time.sleep(0.001)
+        failed_in[-1].join(5)
+    net = simulate(raw_peer(counted), on_send=on_send)
+    threads_before = threading.active_count()
+    with pytest.raises(PartialScanError, match=f"request {CHOSEN.index} to 127.0.0.1:21 "
+                       f"failed {RECONNECT_ATTEMPTS} times: send failed: injected"):
+        fingerprint_target(COLLECTION, sim_target(2))
+    assert threading.active_count() == threads_before
+    assert net.requests == [r.bytes for r in COLLECTION.records[STEP:CHOSEN.index]] + [
+        COLLECTION.records[0].bytes]
 
 
 def test_refused_first_connection_names_target_and_greeting(simulate):

@@ -120,6 +120,18 @@ def test_partial_bytes_then_deadline_is_garbled():
     assert acc.finish_timeout() == GBL
 
 
+def test_complete_opening_lines_then_deadline_are_garbled():
+    # the timeout cut off a multi-line reply at a line end: GBL, not TMO
+    acc = ReplyAccumulator()
+    assert acc.feed(b"211-a\r\n") is None
+    assert acc.finish_timeout() == GBL
+
+
+@pytest.mark.parametrize("empty_line", [b"\n", b"\r\n"])
+def test_empty_first_line_is_garbled_at_once(empty_line):
+    assert ReplyAccumulator().feed(empty_line + b"200 ok\r\n") == GBL
+
+
 def test_eof_is_dropped():
     acc = ReplyAccumulator()
     acc.feed(b"220 part")
