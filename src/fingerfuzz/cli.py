@@ -215,8 +215,9 @@ def _target(args, host: str, port: int) -> wire.TargetSpec:
         raise UsageError(f"target {wire.host_port(host, port)}: {exc}") from None
 
 
-def _scan_one(collection, args, target: wire.TargetSpec, output: str) -> int:
-    fp = scanner.fingerprint_target(collection, target, label=args.label)
+def _scan_one(collection, args, target: wire.TargetSpec, output: str,
+              stop: threading.Event | None = None) -> int:
+    fp = scanner.fingerprint_target(collection, target, label=args.label, stop=stop)
     scanner.save_fingerprint(fp, output)
     print(f"wrote {output}: {len(fp.observations)} observations "
           f"[{_histogram(fp.observations)}]")
@@ -288,17 +289,25 @@ def cmd_scan(args) -> int:
     collection = fuzzgen.load_collection(args.collection)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Ctrl-C reaches only this thread, which then sets `stop`: a running
+    # scan ends before its next request and writes nothing, and no other starts
+    stop = threading.Event()
 
     def worker(target: wire.TargetSpec) -> str | None:
+        if stop.is_set():
+            return None
         output = out_dir / f"{target.host.replace(':', '_')}_{target.port}.fp"
         try:
-            _scan_one(collection, args, target, str(output))
+            _scan_one(collection, args, target, str(output), stop)
         except FingerfuzzError as exc:
             return f"{target.descriptor}: {exc}"
         return None
 
     with ThreadPoolExecutor(max_workers=min(8, len(targets))) as pool:
-        failures = [failure for failure in pool.map(worker, targets) if failure]
+        try:
+            failures = [failure for failure in pool.map(worker, targets) if failure]
+        finally:
+            stop.set()
     for failure in failures:
         print(f"error: {failure}", file=sys.stderr)
     return 1 if failures else 0

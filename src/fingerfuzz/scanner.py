@@ -20,7 +20,9 @@ sessions still work (servers cap connections per address), the pool
 shrinks to the sessions the target admits, and no request is sent
 twice.  A local send or receive failure, or the last session's refusal,
 counts at the run's first unsent request; the RECONNECT_ATTEMPTS-th
-failure at one request ends the scan.
+failure at one request ends the scan.  So does a `stop` event, set by the
+caller, before the next request; a scan that leaves any position
+unobserved raises PartialScanError instead of returning a fingerprint.
 """
 
 from __future__ import annotations
@@ -72,11 +74,13 @@ class Fingerprint:
 
 
 def fingerprint_target(collection: FuzzCollection, target: TargetSpec,
-                       label: str | None = None) -> Fingerprint:
+                       label: str | None = None,
+                       stop: threading.Event | None = None) -> Fingerprint:
     """Send every collection record and return the reply vector in order.
 
     Requires a successful login first: without valid access all servers of
     interest answer with one uniform error code and cannot be told apart.
+    Once `stop` is set, no session sends another request.
     """
     step = collection.config.block_length
     count = len(collection.records)
@@ -85,7 +89,7 @@ def fingerprint_target(collection: FuzzCollection, target: TargetSpec,
         user_reply, pass_reply = session.login()
         observations = _SessionPool(target, collection.records, [
             (session if start == 0 else None, start, min(start + step, count))
-            for start in range(0, count, step)]).scan()
+            for start in range(0, count, step)], stop).scan()
     finally:
         session.close()  # when no worker took it
     return Fingerprint(
@@ -112,7 +116,8 @@ class _SessionPool:
     """
 
     def __init__(self, target: TargetSpec, records: tuple[RequestRecord, ...],
-                 runs: list[tuple[FtpSession | None, int, int]]):
+                 runs: list[tuple[FtpSession | None, int, int]],
+                 stop: threading.Event | None = None):
         self.target = target
         self.records = records
         self.observations: list[ReplyObservation | None] = [None] * len(records)
@@ -121,11 +126,13 @@ class _SessionPool:
         self._looping = 0  # workers that have not left
         self._lock = threading.Lock()
         self._halt = threading.Event()
+        self._stop = stop or threading.Event()  # the caller's; halts this scan only
         self._error: BaseException | None = None
         self._failures: Counter[int] = Counter()  # failures per index, by the run's holder
 
     def scan(self) -> tuple[ReplyObservation, ...]:
-        """Run the workers to the end; raise the first failure of any."""
+        """Run the workers to the end; raise the first failure of any, or
+        a PartialScanError that names the first request left unobserved."""
         workers = [threading.Thread(target=self._work, name=f"fingerfuzz-scan-{n}")
                    for n in range(min(self.target.sessions, len(self._runs)))]
         self._live = self._looping = len(workers)
@@ -141,6 +148,10 @@ class _SessionPool:
                     worker.join()
         if self._error is not None:
             raise self._error
+        if None in self.observations:
+            first = self.records[self.observations.index(None)]
+            raise PartialScanError(f"request {first.index} to {self.target.descriptor} "
+                                   "was never observed")
         return tuple(self.observations)
 
     def _work(self) -> None:
@@ -156,10 +167,13 @@ class _SessionPool:
     def _take(self) -> tuple[FtpSession | None, int, int] | None:
         """The next run, or None once this worker leaves."""
         with self._lock:
-            if self._halt.is_set() or not self._runs:
+            if self._halted() or not self._runs:
                 self._looping -= 1
                 return None
             return self._runs.popleft()
+
+    def _halted(self) -> bool:
+        return self._halt.is_set() or self._stop.is_set()
 
     def _scan_run(self, session: FtpSession | None, start: int, end: int) -> bool:
         """Send records[start:end] on one login, a fresh one if `session` is
@@ -171,7 +185,7 @@ class _SessionPool:
             if session is None:
                 session = wire.connect(self.target)
                 session.login()
-            while index < end and not self._halt.is_set():
+            while index < end and not self._halted():
                 self.observations[index] = session.exchange(self.records[index].bytes)
                 index += 1
                 if self.target.delay > 0:

@@ -31,14 +31,16 @@ ANONYMOUS_USER = "anonymous"
 ANONYMOUS_PASSWORD = "guest@example.com"
 
 # Concurrent sessions of one scan, at most: a target that refuses a
-# connection shrinks the pool.  The cap is above the 27 segments of the
-# default collection and keeps a typo from opening hundreds of connections.
-# More sessions finish sooner (default collection, lab target, 2-core host:
-# about 6 s at 2, 3 s at 4, 1.9 s at 8), but on a loaded host the scan time
-# varies from run to run by a share that does not shrink with the speed-up;
-# 4 is the most whose spread in requests per second stayed within the
-# benchmark's bound (CHANGES.md, "Elastic scan sessions, four by default").
-DEFAULT_SESSIONS = 4
+# connection shrinks the pool, and the cap keeps a typo from opening
+# hundreds of connections.  A session scans one command block at a time,
+# paced by the drain wait after each reply, so a scan takes
+# ceil(blocks / sessions) rounds of blocks.  The default collection's 27
+# take 7 rounds at 4 sessions, 4 at 7 or 8, and 3 at 9, the fewest
+# sessions for 3 rounds; 2 rounds would take 14 connections to one target.
+# Seconds per scan of the default collection against the lab target, by
+# sessions (2 ms drain, 2-core host, BENCH_26.json):
+#   4: 2.80  5: 2.39  6: 1.97  7: 1.58  8: 1.58  9: 1.19  10: 1.20
+DEFAULT_SESSIONS = 9
 MAX_SESSIONS = 32
 
 # A reply larger than this can no longer be an RFC-959 status line we care

@@ -4,6 +4,7 @@ import _thread
 import hashlib
 import json
 import shutil
+import signal
 import socket
 import subprocess
 import sys
@@ -299,6 +300,45 @@ def test_scan_interrupted_exits_130_and_writes_nothing(tmp_path, tiny_fc, lab_fa
     assert code == 130
     assert capsys.readouterr() == ("", "interrupted\n")
     assert list(tmp_path.rglob("*")) == [tiny_fc]  # no .fp and no .tmp-*.part file
+
+
+def test_interrupted_sweep_stops_every_scan_and_writes_nothing(tmp_path, lab_factory,
+                                                               capsys):
+    # two runs of ten requests per target, each reply 200 ms late: a scan
+    # takes 2 s.  SIGINT reaches the main thread as Ctrl-C does; it wakes
+    # the sweep's wait, where _thread.interrupt_main() would only be seen
+    # once a scan has ended
+    collection = tmp_path / "slow.fc"
+    save_collection(build_collection(FuzzConfig(commands=("NOOP", "SYST"), max_arg_len=4,
+                                                instances=1, mutations=1, seed=7)),
+                    collection)
+    slow = ServerScript(name="slow", rules=(Rule("*", "ANY", "DELAY:200:200:late"),))
+    servers = [lab_factory(slow), lab_factory(slow)]
+    targets = tmp_path / "targets.txt"
+    targets.write_text("".join(f"127.0.0.1:{server.port}\n" for server in servers))
+    out_dir = tmp_path / "fps"
+    interrupted_at = []
+
+    def interrupt_once_both_scan():
+        deadline = time.monotonic() + 5
+        while (not all(server.connections for server in servers)
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
+        if all(server.connections for server in servers):
+            interrupted_at.append(time.monotonic())
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+    interrupter = threading.Thread(target=interrupt_once_both_scan)
+    interrupter.start()
+    try:
+        code = main(["scan", "--collection", str(collection), "--targets", str(targets),
+                     *FAST_SCAN, "-o", str(out_dir)])
+        ended_at = time.monotonic()
+    finally:
+        interrupter.join()
+    assert code == 130
+    assert ended_at - interrupted_at[0] < 1.0
+    assert capsys.readouterr() == ("", "interrupted\n")
+    assert list(out_dir.iterdir()) == []
 
 
 def test_scan_refuses_a_request_holding_a_line_break_before_connecting(tmp_path, tiny_fc,

@@ -26,7 +26,7 @@ from fingerfuzz.labserver import (
     render_reply,
 )
 from fingerfuzz.scanner import fingerprint_target
-from fingerfuzz.wire import DRP, TMO
+from fingerfuzz.wire import DEFAULT_SESSIONS, DRP, TMO
 
 from conftest import (
     CONFORMANCE_CONFIG,
@@ -483,7 +483,7 @@ def test_random_scripts_are_pinned():
     assert digests == RANDOM_SCRIPT_DIGESTS
 
 
-@pytest.mark.parametrize("sessions", (1, 4))
+@pytest.mark.parametrize("sessions", (1, 4, DEFAULT_SESSIONS))
 @pytest.mark.parametrize("seed", range(CONFORMANCE_SEEDS))
 def test_scan_of_random_script_equals_session_oracle(seed, sessions, lab_factory):
     script = random_script(random.Random(seed))

@@ -235,7 +235,8 @@ def body_of(fp: Fingerprint) -> bytes:
                     if not line.startswith(b"#"))
 
 
-@pytest.mark.parametrize("sessions,limit", [(DEFAULT_SESSIONS, 1), (4, 3)])
+@pytest.mark.parametrize("sessions,limit", [(DEFAULT_SESSIONS, 1), (4, 3),
+                                           (DEFAULT_SESSIONS, 4)])
 def test_capped_target_shrinks_the_pool(simulate, caplog, sessions, limit):
     # a capped target gives the fingerprint body of an uncapped one scanned
     # on one session

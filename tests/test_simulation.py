@@ -35,16 +35,16 @@ the reply to request i?
   The RECONNECT_ATTEMPTS-th failure at one index ends the scan with
   PartialScanError, so no fingerprint is ever misaligned.
 
-The cases: random lab scripts, whole and split at every byte, at 1 and 4
-sessions, each plain and under a seeded schedule of the faults above;
-each fault alone at one request; the session pool, where every run starts
-a fresh session, 32 sessions under fast thread switching with and without
-drops, a target that dies mid-run, targets that cap connections (4 and 32
-sessions), a refused reconnect after a drop and on the last queued run,
-a refused first connect followed by that, refused reconnects until the
-scan ends, local send failures, a failed scan that stops sending, a
-refused first connection and a greeting without a code (none, or
-garbage).
+The cases: random lab scripts, whole and split at every byte, at 1, 4 and
+DEFAULT_SESSIONS sessions, each plain and under a seeded schedule of the
+faults above; each fault alone at one request; a stop set mid-scan; the
+session pool, where every run starts a fresh session, 32 sessions under
+fast thread switching with and without drops, a target that dies mid-run,
+targets that cap connections (4 and 32 sessions), a refused reconnect
+after a drop and on the last queued run, a refused first connect followed
+by that, refused reconnects until the scan ends, local send failures, a
+failed scan that stops sending, a refused first connection and a greeting
+without a code (none, or garbage).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from fingerfuzz.errors import PartialScanError, ScanRefusedError
 from fingerfuzz.fuzzgen import DEFAULT_COMMANDS, FuzzConfig, build_collection
 from fingerfuzz.labserver import Rule, ServerScript
 from fingerfuzz.scanner import RECONNECT_ATTEMPTS, fingerprint_target
-from fingerfuzz.wire import DRP, GBL, TMO
+from fingerfuzz.wire import DEFAULT_SESSIONS, DRP, GBL, TMO
 
 from conftest import (
     CONFORMANCE_CONFIG,
@@ -96,7 +96,7 @@ def small_collection(commands, max_arg_len=1, mutations=1):
 
 # --- random lab scripts ------------------------------------------------------------
 
-@pytest.mark.parametrize("sessions", (1, 4))
+@pytest.mark.parametrize("sessions", (1, 4, DEFAULT_SESSIONS))
 @pytest.mark.parametrize("split", (False, True), ids=("whole", "split"))
 @pytest.mark.parametrize("seed", range(SIM_SEEDS))
 def test_simulated_scan_of_random_script_equals_session_oracle(seed, split, sessions,
@@ -166,7 +166,7 @@ def fault_schedule(rng: random.Random, script: ServerScript, collection):
     return faults, told, after_gaps
 
 
-@pytest.mark.parametrize("sessions", (1, 4))
+@pytest.mark.parametrize("sessions", (1, 4, DEFAULT_SESSIONS))
 @pytest.mark.parametrize("split", (False, True), ids=("whole", "split"))
 @pytest.mark.parametrize("seed", range(SIM_SEEDS))
 def test_random_script_under_a_seeded_fault_schedule(seed, split, sessions, simulate,
@@ -244,8 +244,8 @@ def test_stray_line_inside_the_drain_window_is_discarded(simulate, split, fracti
     ([(0.0, RESET)], DRP),
     ([(0.0, EOF)], DRP),
     ([(0.0, b"2"), (FAST_REPLY_TIMEOUT, b"22 late\r\n")], GBL),  # cut off by the timeout
-    ([(0.0, b"211-a\r\n")], GBL),  # cut off by the timeout at a line end
     ([], TMO),
+    ([(0.0, b"211-a\r\n")], GBL),  # cut off by the timeout at a line end
 ])
 def test_fault_instead_of_a_reply_gets_a_fresh_login(simulate, split, fault, token):
     net = simulate(at_chosen(lambda writes: fault), split=split)
@@ -559,6 +559,24 @@ def test_refusal_on_the_last_queued_run(simulate, caplog, refusals):
     assert net.sent_once(COLLECTION)
     # a login per run and for the rest after the drop, and the refused connects
     assert net.connections == RUNS + 1 + refusals
+
+
+@pytest.mark.parametrize("sessions", (1, 4))
+def test_stop_ends_the_scan_before_the_next_request(simulate, sessions):
+    # set while the chosen request is sent: that one is answered, and no
+    # session sends another; the scan names the first position left unobserved
+    stop = threading.Event()
+    net = simulate(raw_peer(counted),
+                   on_send=lambda line: stop.set() if line == CHOSEN.bytes else None)
+    threads_before = threading.active_count()
+    with pytest.raises(PartialScanError) as err:
+        fingerprint_target(COLLECTION, sim_target(sessions), stop=stop)
+    assert threading.active_count() == threads_before
+    assert CHOSEN.bytes in net.requests
+    if sessions == 1:
+        assert str(err.value) == (f"request {CHOSEN.index + 1} to 127.0.0.1:21 "
+                                  "was never observed")
+        assert net.requests == [r.bytes for r in COLLECTION.records[:CHOSEN.index + 1]]
 
 
 def test_refused_first_connect_then_refused_reconnect_on_the_last_run(simulate, caplog):
