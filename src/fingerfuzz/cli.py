@@ -98,10 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--label", default=None, help="name stored in the fingerprint")
     scan.add_argument("--delay", type=float, default=wire.TargetSpec.delay,
                       help="seconds each session waits between requests")
-    scan.add_argument("--sessions", type=_positive_int, default=wire.DEFAULT_SESSIONS,
-                      help="command blocks scanned at the same time, each on its "
-                           f"own connection (1..{wire.MAX_SESSIONS}); fewer are used "
-                           "while the server refuses more connections")
+    scan.add_argument("--sessions", type=_positive_int, default=wire.TargetSpec.sessions,
+                      metavar="N", help="at most N command blocks at once, each on its own connection; "
+                           f"by default every block, up to {wire.MAX_SESSIONS}. Fewer are "
+                           "used while the server refuses more connections")
     scan.add_argument("--timeout", type=float, default=wire.TargetSpec.reply_timeout,
                       help="seconds to wait for each reply")
     scan.add_argument("--drain-window", type=float,

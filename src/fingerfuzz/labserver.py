@@ -212,8 +212,9 @@ class LabServer:
         self._open: dict[socket.socket, threading.Thread] = {}
 
     def start(self) -> "LabServer":
-        # on POSIX this sets SO_REUSEADDR, and a failed bind closes the socket
-        self._listener = socket.create_server((self.host, self.port), backlog=16)
+        # on POSIX this sets SO_REUSEADDR, and a failed bind closes the socket;
+        # the default backlog admits a scan that opens every session at once
+        self._listener = socket.create_server((self.host, self.port))
         self.port = self._listener.getsockname()[1]
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"lab-{self.script.name}", daemon=True

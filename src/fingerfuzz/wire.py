@@ -30,17 +30,11 @@ DEFAULT_PORT = 21
 ANONYMOUS_USER = "anonymous"
 ANONYMOUS_PASSWORD = "guest@example.com"
 
-# Concurrent sessions of one scan, at most: a target that refuses a
-# connection shrinks the pool, and the cap keeps a typo from opening
-# hundreds of connections.  A session scans one command block at a time,
-# paced by the drain wait after each reply, so a scan takes
-# ceil(blocks / sessions) rounds of blocks.  The default collection's 27
-# take 7 rounds at 4 sessions, 4 at 7 or 8, and 3 at 9, the fewest
-# sessions for 3 rounds; 2 rounds would take 14 connections to one target.
-# Seconds per scan of the default collection against the lab target, by
-# sessions (2 ms drain, 2-core host, BENCH_26.json):
-#   4: 2.80  5: 2.39  6: 1.97  7: 1.58  8: 1.58  9: 1.19  10: 1.20
-DEFAULT_SESSIONS = 9
+# Concurrent sessions of one scan, at most, and the default: each command
+# block goes out on its own login, so a scan of up to this many blocks
+# sends them all at once and takes as long as its slowest block.  A target
+# that refuses a connection shrinks the pool, and the cap keeps a typo from
+# opening hundreds of connections.
 MAX_SESSIONS = 32
 
 # A reply larger than this can no longer be an RFC-959 status line we care
@@ -87,7 +81,7 @@ class TargetSpec:
     reply_timeout: float = 5.0
     drain_window: float = 0.2
     connect_timeout: float = 10.0
-    sessions: int = DEFAULT_SESSIONS
+    sessions: int = MAX_SESSIONS
     delay: float = 0.0  # the pause after each request of one session
 
     def __post_init__(self):

@@ -167,6 +167,11 @@ def reorder_header(data: bytes, closing: bytes, order: str) -> bytes:
 CONFORMANCE_CONFIG = FuzzConfig(commands=("USER", "NOOP", "SYST", "FEAT"), max_arg_len=2,
                                 instances=2, mutations=2, seed=7)
 
+# Session counts of the random-script sweeps.  9 is more than the 4 command
+# blocks of CONFORMANCE_CONFIG, so that row starts one session per block,
+# as the default does.
+CONFORMANCE_SESSIONS = (1, 4, 9)
+
 
 def random_script(rng: random.Random) -> ServerScript:
     """3-8 rules over every action.  SILENCE waits out the reply timeout, so

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-import _thread
 import hashlib
 import json
+import logging
 import shutil
 import signal
 import socket
@@ -276,44 +276,60 @@ def test_scan_multiple_targets_reports_a_refused_login(tmp_path, tiny_fc, lab_fa
     assert list(out_dir.iterdir()) == [written]
 
 
-def test_scan_interrupted_exits_130_and_writes_nothing(tmp_path, tiny_fc, lab_factory,
-                                                       capsys):
-    # every reply 50 ms late, so the scan is still running when the
-    # interrupt comes; it reaches the main thread as Ctrl-C does
-    server = lab_factory(ServerScript(name="slow", rules=(
-        Rule("*", "ANY", "DELAY:50:200:late"),)))
+def slow_collection(tmp_path) -> Path:
+    """Two runs of ten requests: 4 s on one session against SLOW_SCRIPT."""
+    path = tmp_path / "slow.fc"
+    save_collection(build_collection(FuzzConfig(commands=("NOOP", "SYST"), max_arg_len=4,
+                                                instances=1, mutations=1, seed=7)), path)
+    return path
 
-    def interrupt_once_connected():
+
+SLOW_SCRIPT = ServerScript(name="slow", rules=(Rule("*", "ANY", "DELAY:200:200:late"),))
+
+
+def test_scan_interrupted_exits_130_and_writes_nothing(tmp_path, lab_factory, capsys,
+                                                       caplog):
+    # SIGINT reaches the main thread as Ctrl-C does.  Once the server has
+    # read the first request, the main thread waits for the pool's workers;
+    # the signal wakes that wait, where _thread.interrupt_main() would only
+    # be seen once the scan has ended
+    caplog.set_level(logging.DEBUG, logger="fingerfuzz.labserver")
+    collection = slow_collection(tmp_path)
+    server = lab_factory(SLOW_SCRIPT)
+    interrupted_at = []
+
+    def a_request_was_read():
+        return any(r.getMessage().endswith("-> DELAY") for r in caplog.records)
+
+    def interrupt_once_a_request_is_read():
         deadline = time.monotonic() + 5
-        while not server.connections and time.monotonic() < deadline:
+        while not a_request_was_read() and time.monotonic() < deadline:
             time.sleep(0.001)
-        if server.connections:
-            _thread.interrupt_main()
-    interrupter = threading.Thread(target=interrupt_once_connected)
+        if a_request_was_read():
+            interrupted_at.append(time.monotonic())
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+    interrupter = threading.Thread(target=interrupt_once_a_request_is_read)
     interrupter.start()
     try:
-        code = main(["scan", "--collection", str(tiny_fc), "--host", "127.0.0.1",
+        code = main(["scan", "--collection", str(collection), "--host", "127.0.0.1",
                      "--port", str(server.port), "--sessions", "1", *FAST_SCAN,
                      "-o", str(tmp_path / "x.fp")])
+        ended_at = time.monotonic()
     finally:
         interrupter.join()
     assert code == 130
+    assert ended_at - interrupted_at[0] < 1.0
     assert capsys.readouterr() == ("", "interrupted\n")
-    assert list(tmp_path.rglob("*")) == [tiny_fc]  # no .fp and no .tmp-*.part file
+    assert list(tmp_path.rglob("*")) == [collection]  # no .fp and no .tmp-*.part file
 
 
 def test_interrupted_sweep_stops_every_scan_and_writes_nothing(tmp_path, lab_factory,
                                                                capsys):
-    # two runs of ten requests per target, each reply 200 ms late: a scan
-    # takes 2 s.  SIGINT reaches the main thread as Ctrl-C does; it wakes
-    # the sweep's wait, where _thread.interrupt_main() would only be seen
-    # once a scan has ended
-    collection = tmp_path / "slow.fc"
-    save_collection(build_collection(FuzzConfig(commands=("NOOP", "SYST"), max_arg_len=4,
-                                                instances=1, mutations=1, seed=7)),
-                    collection)
-    slow = ServerScript(name="slow", rules=(Rule("*", "ANY", "DELAY:200:200:late"),))
-    servers = [lab_factory(slow), lab_factory(slow)]
+    # each reply 200 ms late: a scan takes 2 s on two sessions.  SIGINT
+    # wakes the sweep's wait, where _thread.interrupt_main() would only be
+    # seen once a scan has ended
+    collection = slow_collection(tmp_path)
+    servers = [lab_factory(SLOW_SCRIPT), lab_factory(SLOW_SCRIPT)]
     targets = tmp_path / "targets.txt"
     targets.write_text("".join(f"127.0.0.1:{server.port}\n" for server in servers))
     out_dir = tmp_path / "fps"

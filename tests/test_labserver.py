@@ -4,6 +4,7 @@ import hashlib
 import logging
 import os
 import random
+import select
 import socket
 import threading
 import time
@@ -26,10 +27,11 @@ from fingerfuzz.labserver import (
     render_reply,
 )
 from fingerfuzz.scanner import fingerprint_target
-from fingerfuzz.wire import DEFAULT_SESSIONS, DRP, TMO
+from fingerfuzz.wire import DRP, MAX_SESSIONS, TMO
 
 from conftest import (
     CONFORMANCE_CONFIG,
+    CONFORMANCE_SESSIONS,
     constant_script,
     fast_target,
     lab_oracle,
@@ -371,6 +373,32 @@ def test_two_concurrent_connections(lab_factory):
     b.close()
 
 
+def test_every_session_of_a_scan_connects_at_once(lab_factory):
+    # held at the lock after its first accept, the accept loop takes no
+    # more: each other handshake completes only if the listen backlog holds
+    # it, and a dropped SYN waits at least 1 s for its retransmit
+    server = lab_factory(constant_script(code=502))
+    socks = [socket.socket() for _ in range(MAX_SESSIONS)]
+    try:
+        with server._lock:
+            poller = select.poll()
+            for sock in socks:
+                sock.setblocking(False)
+                sock.connect_ex(("127.0.0.1", server.port))
+                poller.register(sock, select.POLLOUT)
+            pending = {sock.fileno(): sock for sock in socks}
+            deadline = time.monotonic() + 0.3
+            while pending and (left := deadline - time.monotonic()) > 0:
+                for fd, _ in poller.poll(left * 1000):
+                    assert pending[fd].getsockopt(socket.SOL_SOCKET, socket.SO_ERROR) == 0
+                    poller.unregister(fd)
+                    del pending[fd]
+            assert not pending, f"{len(pending)} of {MAX_SESSIONS} handshakes pending"
+    finally:
+        for sock in socks:
+            sock.close()
+
+
 ORDER_SCRIPT = """\
 name order
 rule NOOP ANY REPLY:200:ok
@@ -483,7 +511,7 @@ def test_random_scripts_are_pinned():
     assert digests == RANDOM_SCRIPT_DIGESTS
 
 
-@pytest.mark.parametrize("sessions", (1, 4, DEFAULT_SESSIONS))
+@pytest.mark.parametrize("sessions", CONFORMANCE_SESSIONS)
 @pytest.mark.parametrize("seed", range(CONFORMANCE_SEEDS))
 def test_scan_of_random_script_equals_session_oracle(seed, sessions, lab_factory):
     script = random_script(random.Random(seed))

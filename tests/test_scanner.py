@@ -25,7 +25,7 @@ from fingerfuzz.scanner import (
     save_fingerprint,
     write_fingerprint,
 )
-from fingerfuzz.wire import BY_TOKEN, DEFAULT_SESSIONS, DRP, GBL, TMO, FtpSession
+from fingerfuzz.wire import BY_TOKEN, DRP, GBL, TMO, FtpSession, TargetSpec
 
 from conftest import (
     ALL_TOKENS,
@@ -235,25 +235,26 @@ def body_of(fp: Fingerprint) -> bytes:
                     if not line.startswith(b"#"))
 
 
-@pytest.mark.parametrize("sessions,limit", [(DEFAULT_SESSIONS, 1), (4, 3),
-                                           (DEFAULT_SESSIONS, 4)])
+@pytest.mark.parametrize("sessions,limit", [(9, 1), (4, 3), (9, 4),
+                                           (TargetSpec.sessions, 4)])
 def test_capped_target_shrinks_the_pool(simulate, caplog, sessions, limit):
     # a capped target gives the fingerprint body of an uncapped one scanned
-    # on one session
-    collection = tiny_collection(commands=DEFAULT_COMMANDS[:9], max_arg_len=1, mutations=1)
+    # on one session.  The default starts one worker per command block
+    collection = tiny_collection(commands=DEFAULT_COMMANDS, max_arg_len=1, mutations=1)
+    workers = min(sessions, len(DEFAULT_COMMANDS))
     simulate(raw_peer(counted))
     reference = fingerprint_target(collection, sim_target(1))
     net = simulate(raw_peer(counted), limit=limit,
-                   on_send=lambda line: wait_for_connections(net, sessions, line))
+                   on_send=lambda line: wait_for_connections(net, workers, line))
     threads_before = threading.active_count()
     with caplog.at_level(logging.WARNING, logger="fingerfuzz.scanner"):
         fp = fingerprint_target(collection, sim_target(sessions))
     assert threading.active_count() == threads_before
     assert body_of(fp) == body_of(reference)
     assert net.sent_once(collection)
-    assert shrinks(caplog) == list(range(sessions - 1, limit - 1, -1))
+    assert shrinks(caplog) == list(range(workers - 1, limit - 1, -1))
     # one login per run, and one refused connect per shrink
-    assert net.connections == len(DEFAULT_COMMANDS[:9]) + sessions - limit
+    assert net.connections == len(DEFAULT_COMMANDS) + workers - limit
 
 
 # --- fingerprint files -----------------------------------------------------------

@@ -35,16 +35,17 @@ the reply to request i?
   The RECONNECT_ATTEMPTS-th failure at one index ends the scan with
   PartialScanError, so no fingerprint is ever misaligned.
 
-The cases: random lab scripts, whole and split at every byte, at 1, 4 and
-DEFAULT_SESSIONS sessions, each plain and under a seeded schedule of the
-faults above; each fault alone at one request; a stop set mid-scan; the
-session pool, where every run starts a fresh session, 32 sessions under
-fast thread switching with and without drops, a target that dies mid-run,
-targets that cap connections (4 and 32 sessions), a refused reconnect
-after a drop and on the last queued run, a refused first connect followed
-by that, refused reconnects until the scan ends, local send failures, a
-failed scan that stops sending, a refused first connection and a greeting
-without a code (none, or garbage).
+The cases: random lab scripts, whole and split at every byte, at 1, 4 and 9
+sessions, each plain and under a seeded schedule of the faults above; each
+fault alone at one request; a stop set mid-scan; the session pool, where
+every run starts a fresh session, 32 sessions under fast thread switching
+with and without drops, the default session count on 27 command blocks,
+every one open at once, plain and with drops and silence, a target that
+dies mid-run, targets that cap connections (4 and 32 sessions), a refused
+reconnect after a drop and on the last queued run, a refused first connect
+followed by that, refused reconnects until the scan ends, local send
+failures, a failed scan that stops sending, a refused first connection and
+a greeting without a code (none, or garbage).
 """
 
 from __future__ import annotations
@@ -62,10 +63,11 @@ from fingerfuzz.errors import PartialScanError, ScanRefusedError
 from fingerfuzz.fuzzgen import DEFAULT_COMMANDS, FuzzConfig, build_collection
 from fingerfuzz.labserver import Rule, ServerScript
 from fingerfuzz.scanner import RECONNECT_ATTEMPTS, fingerprint_target
-from fingerfuzz.wire import DEFAULT_SESSIONS, DRP, GBL, TMO
+from fingerfuzz.wire import DRP, GBL, TMO, TargetSpec
 
 from conftest import (
     CONFORMANCE_CONFIG,
+    CONFORMANCE_SESSIONS,
     FAST_DRAIN_WINDOW,
     FAST_REPLY_TIMEOUT,
     lab_oracle,
@@ -96,7 +98,7 @@ def small_collection(commands, max_arg_len=1, mutations=1):
 
 # --- random lab scripts ------------------------------------------------------------
 
-@pytest.mark.parametrize("sessions", (1, 4, DEFAULT_SESSIONS))
+@pytest.mark.parametrize("sessions", CONFORMANCE_SESSIONS)
 @pytest.mark.parametrize("split", (False, True), ids=("whole", "split"))
 @pytest.mark.parametrize("seed", range(SIM_SEEDS))
 def test_simulated_scan_of_random_script_equals_session_oracle(seed, split, sessions,
@@ -166,7 +168,7 @@ def fault_schedule(rng: random.Random, script: ServerScript, collection):
     return faults, told, after_gaps
 
 
-@pytest.mark.parametrize("sessions", (1, 4, DEFAULT_SESSIONS))
+@pytest.mark.parametrize("sessions", CONFORMANCE_SESSIONS)
 @pytest.mark.parametrize("split", (False, True), ids=("whole", "split"))
 @pytest.mark.parametrize("seed", range(SIM_SEEDS))
 def test_random_script_under_a_seeded_fault_schedule(seed, split, sessions, simulate,
@@ -438,6 +440,46 @@ def test_drops_under_fast_thread_switching(simulate, fast_switching):
         DRP if i % step % 5 == 4 else str(200 + i % step % 5)
         for i in range(len(collection.records)))
     assert net.connections == 2 * len(DEFAULT_COMMANDS) and net.sent_once(collection)
+
+
+PLAIN_SCRIPT = ServerScript(name="plain", rules=(
+    Rule("*", "NONPRINT", "REPLY:501:junk"), Rule("SYST", "ANY", "REPLY:215:UNIX")))
+DROPS_AND_SILENCE = ServerScript(name="faulty", rules=(
+    Rule("QUIT", "ANY", "DROP"),
+    Rule("NOOP", "LEN_GT:0", "DROP"),
+    Rule("SYST", "EMPTY", "SILENCE"),
+    Rule("STAT", "NONPRINT", "SILENCE"),
+    Rule("*", "NONPRINT", "REPLY:501:junk"),
+    Rule("HELP", "ANY", "MULTI:214:a|b")), default_code=502)
+
+
+@pytest.mark.parametrize("script", (PLAIN_SCRIPT, DROPS_AND_SILENCE),
+                         ids=("plain", "drops-and-silence"))
+def test_default_sessions_scan_every_command_block_at_once(simulate, script):
+    # each request waits until every block's session is open, or 5 s have
+    # passed; then no session has closed yet, so the peak is every block
+    collection = small_collection(DEFAULT_COMMANDS, mutations=2)
+    blocks = len(collection.records) // collection.config.block_length
+    assert blocks == len(DEFAULT_COMMANDS) == 27
+    simulate(lab_peer(script))
+    alone = fingerprint_target(collection, sim_target(1))
+    peak = [0]
+    deadline = time.monotonic() + 5
+
+    def all_open(line):
+        while True:
+            with net._lock:
+                peak[0] = max(peak[0], net._open)
+            if line in LOGIN_LINES or peak[0] >= blocks or time.monotonic() > deadline:
+                return
+            time.sleep(0.001)
+    net = simulate(lab_peer(script), on_send=all_open)
+    fp = fingerprint_target(collection, sim_target(TargetSpec.sessions))
+    assert peak[0] == blocks
+    assert fp.observations == alone.observations == lab_oracle(script, collection)
+    assert net.sent_once(collection)
+    assert {DRP, TMO} & set(fp.observations) == (
+        {DRP, TMO} if script is DROPS_AND_SILENCE else set())
 
 
 def test_target_death_stops_the_scan(simulate):

@@ -15,6 +15,7 @@ from fingerfuzz.wire import (
     BY_TOKEN,
     DRP,
     GBL,
+    MAX_SESSIONS,
     TMO,
     ReplyAccumulator,
     ReplyObservation,
@@ -180,7 +181,7 @@ def test_target_defaults():
     assert target.reply_timeout == 5.0
     assert target.drain_window == 0.2
     assert target.connect_timeout == 10.0
-    assert target.sessions == 9
+    assert target.sessions == MAX_SESSIONS
     assert target.descriptor == "ftp.example.org:21"
 
 
